@@ -28,23 +28,24 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONGESTED = 3
 
-_RUN_DEFAULTS = {
-    "seed": 0,
-    "utilization": 0.6,
-    "gcell": 3,
-    "freq": 1.0,
-    "activity": 0.2,
-    "max_iters": 40,
-    "parallel": False,
-    "label": None,
-    "fabric": "2d",
-    "netlist": None,
-    "cells": None,
-    "rent": 0.75,
-    "pins": 3.0,
-    "seq_fraction": 0.0,
-    "moves_per_temp": None,
-    "max_temps": 150,
+# Run options as key: (type, default).  A None default makes the key
+# nullable; an int is accepted where a float is expected.
+_RUN_OPTIONS = {
+    "seed": (int, 0),
+    "utilization": (float, 0.6),
+    "gcell": (int, 3),
+    "freq": (float, 1.0),
+    "activity": (float, 0.2),
+    "max_iters": (int, 40),
+    "label": (str, None),
+    "fabric": (str, "2d"),
+    "netlist": (str, None),
+    "cells": (int, None),
+    "rent": (float, 0.75),
+    "pins": (float, 3.0),
+    "seq_fraction": (float, 0.0),
+    "moves_per_temp": (int, None),
+    "max_temps": (int, 150),
 }
 
 
@@ -69,8 +70,18 @@ def _read_netlist(path: str) -> nl.Netlist:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _check_option(path: str, key: str, value) -> None:
+    kind, default = _RUN_OPTIONS[key]
+    if value is None and default is None:
+        return
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = kind.__name__ if default is not None else f"null or {kind.__name__}"
+        raise CliError(f"{path}: key {key!r} must be {expected}, got {json.dumps(value)}")
+
+
 def _merged_options(args: argparse.Namespace) -> dict:
-    opts = dict(_RUN_DEFAULTS)
+    opts = {key: default for key, (_, default) in _RUN_OPTIONS.items()}
     if getattr(args, "config", None):
         cfg_path = Path(args.config)
         if not cfg_path.is_file():
@@ -79,21 +90,19 @@ def _merged_options(args: argparse.Namespace) -> dict:
             loaded = json.loads(cfg_path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"{args.config}: invalid JSON ({exc})") from exc
+        if not isinstance(loaded, dict):
+            raise CliError(f"{args.config}: expected a JSON object")
         unknown = set(loaded) - set(opts)
         if unknown:
             raise CliError(f"{args.config}: unknown keys {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_option(args.config, key, value)
         opts.update(loaded)
     for key in opts:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
     return opts
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
 
 
 def _write(path: Path, text: str) -> None:
@@ -148,13 +157,9 @@ def _placement_csv(placed: pl.Placement) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_place(args: argparse.Namespace) -> int:
-    opts = _merged_options(args)
-    fabric, design, die, placed = _place_pipeline(opts)
-    out = Path(args.output)
-    _write(out / "placement.csv", _placement_csv(placed))
-    _write(out / "netlist.net", nl.serialize_netlist(design))
-    meta = {
+def _place_meta(opts: dict, fabric, design, die, placed) -> dict:
+    """The run_meta.json fields that 'place' knows."""
+    return {
         "label": opts["label"] or f"{fabric.kind.value}:{design.name}",
         "fabric": opts["fabric"],
         "die_width": die.width,
@@ -166,7 +171,28 @@ def cmd_place(args: argparse.Namespace) -> int:
         "hpwl_sites": pl.hpwl(design, placed),
         "seed": int(opts["seed"]),
     }
+
+
+def _route_meta(opts: dict, cmap) -> dict:
+    """The run_meta.json fields that routing adds."""
+    return {
+        "gcell": int(opts["gcell"]),
+        "overflow_edges": cmap.overflow_edge_count,
+        "congested": cmap.congested,
+    }
+
+
+def _write_meta(out: Path, meta: dict) -> None:
     _write(out / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def cmd_place(args: argparse.Namespace) -> int:
+    opts = _merged_options(args)
+    fabric, design, die, placed = _place_pipeline(opts)
+    out = Path(args.output)
+    _write(out / "placement.csv", _placement_csv(placed))
+    _write(out / "netlist.net", nl.serialize_netlist(design))
+    _write_meta(out, _place_meta(opts, fabric, design, die, placed))
     return EXIT_OK
 
 
@@ -180,12 +206,7 @@ def _load_run_dir(path: Path):
 
 def _route_pipeline(fabric, design, die, placed, opts: dict):
     graph = gr.build_grid(fabric, die, int(opts["gcell"]))
-    gr.apply_obstacles(graph, design, placed)
-    params = gr.RouteParams(
-        max_iters=int(opts["max_iters"]),
-        seed=int(opts["seed"]),
-        parallel=bool(opts["parallel"]),
-    )
+    params = gr.RouteParams(max_iters=int(opts["max_iters"]))
     routes, cmap = gr.route(design, placed, graph, params)
     return graph, routes, cmap
 
@@ -205,7 +226,7 @@ def _emit_route_artifacts(out: Path, graph, routes, cmap) -> None:
     for row in gr.demand_resource_ratios(cmap):
         ratio_lines.append(
             f"{row.layer},{row.demand},{row.capacity},"
-            f"{_fmt(row.aggregate_ratio)},{_fmt(row.max_edge_ratio)}"
+            f"{metrics.fmt(row.aggregate_ratio)},{metrics.fmt(row.max_edge_ratio)}"
         )
     _write(out / "layer_ratios.csv", "\n".join(ratio_lines) + "\n")
 
@@ -226,6 +247,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     placed = pl.Placement(assignments=assignments, die=die)
     graph, routes, cmap = _route_pipeline(fabric, design, die, placed, opts)
     _emit_route_artifacts(run_dir, graph, routes, cmap)
+    _write_meta(run_dir, {**meta, **_route_meta(opts, cmap)})
     return EXIT_CONGESTED if cmap.overflow_edge_count else EXIT_OK
 
 
@@ -244,7 +266,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         m: fabric.cell_energy.get(m, fab.DEFAULT_CELL_ENERGY) for m in design.masters
     }
     pin_mw, internal_mw = metrics.cell_powers_mw(design, energy, power)
-    label = opts["label"] or f"{fabric.kind.value}:{design.name}"
+    meta = _place_meta(opts, fabric, design, die, placed)
+    label = meta["label"]
     row = metrics.BenchmarkReport(
         label=label,
         cell_count=len(design.cells),
@@ -261,24 +284,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     _emit_route_artifacts(out, graph, routes, cmap)
     _write(out / "report.csv", metrics.emit_report_csv([row], label))
     _write(out / "report.json", metrics.emit_report_json([row], label))
-    meta = {
-        "label": label,
-        "fabric": opts["fabric"],
-        "die_width": die.width,
-        "die_height": die.height,
-        "die_area_um2": die.area_um2,
-        "utilization": die.utilization,
-        "total_pins": design.total_terminals,
-        "pin_access_layers": fabric.pin_access_layers,
-        "hpwl_sites": pl.hpwl(design, placed),
-        "seed": int(opts["seed"]),
-        "gcell": int(opts["gcell"]),
+    _write_meta(out, {
+        **meta,
+        **_route_meta(opts, cmap),
         "freq_ghz": power.clock_freq_ghz,
         "activity": power.switching_activity,
-        "overflow_edges": cmap.overflow_edge_count,
-        "congested": cmap.congested,
-    }
-    _write(out / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })
     return EXIT_CONGESTED if cmap.overflow_edge_count else EXIT_OK
 
 
@@ -354,7 +365,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--freq", type=float, help="clock frequency in GHz (default 1.0)")
     p.add_argument("--activity", type=float, help="switching activity (default 0.2)")
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--parallel", action="store_const", const=True, default=None)
     p.add_argument("--moves-per-temp", dest="moves_per_temp", type=int)
     p.add_argument("--max-temps", dest="max_temps", type=int)
     p.add_argument("--label")

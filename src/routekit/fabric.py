@@ -181,13 +181,12 @@ class PinDef:
 
 @dataclass(frozen=True)
 class CellMaster:
-    """LEF-like cell abstraction: footprint, pin accesses, routing obstacles."""
+    """LEF-like cell abstraction: footprint and pin accesses."""
 
     name: str
     width: int  # sites
     height: int  # sites
     pins: tuple[PinDef, ...]
-    obstacles: tuple[tuple[int, tuple[int, int, int, int]], ...] = ()
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -263,23 +262,27 @@ def _site_order(width: int, height: int) -> list[tuple[int, int]]:
 
 
 def make_cell_master(
-    kind: str | FabricKind,
+    fabric: str | FabricKind | FabricSpec,
     pin_spec: list[tuple[str, str, int]],
     name: str = "cell",
 ) -> CellMaster:
     """Build a cell abstraction with technology-appropriate pin accesses.
 
-    ``pin_spec`` lists (pin_name, direction, access_count).  Planar and
-    monolithic-3D masters put every access on M1, spread across the cell.
-    S3DC masters keep each pin's accesses on one nanowire position and
+    ``fabric`` is a FabricSpec or a kind, which stands for its builtin spec;
+    the pins use that spec's access layers.  ``pin_spec`` lists (pin_name,
+    direction, access_count).  Planar and monolithic-3D masters put every
+    access on the single access layer (M1 by default), spread across the
+    cell.  S3DC masters keep each pin's accesses on one nanowire position and
     distribute them vertically across the fabric's pin-access layers.
     """
-    kind = normalize_kind(kind)
+    if not isinstance(fabric, FabricSpec):
+        fabric = builtin_fabric(fabric)
+    kind = fabric.kind
     width, height = _CELL_SITES[kind]
     order = _site_order(width, height)
     nsites = len(order)
     npins = max(1, len(pin_spec))
-    access_ids = _ACCESS_LAYER_IDS[kind]
+    access_ids = fabric.access_layer_ids
 
     pins = []
     for p, (pname, direction, count) in enumerate(pin_spec):
@@ -293,7 +296,7 @@ def make_cell_master(
         else:
             for a in range(count):
                 x, y = order[(p + a * npins) % nsites]
-                accesses.append((1, x, y))
+                accesses.append((access_ids[0], x, y))
         # Collapse duplicates while keeping first-seen order stable.
         seen: dict[tuple[int, int, int], None] = {}
         for acc in accesses:
@@ -306,7 +309,7 @@ def bind_masters(netlist, fabric: FabricSpec):
     """Return a copy of ``netlist`` whose masters carry this fabric's geometry.
 
     Pin names and directions are preserved; footprints and access points are
-    rebuilt with the fabric's defaults.
+    rebuilt with the fabric's defaults and its access layers.
     """
     rebuilt = {}
     for mname, master in netlist.masters.items():
@@ -314,7 +317,7 @@ def bind_masters(netlist, fabric: FabricSpec):
             (pin.name, pin.direction, default_access_count(fabric.kind, pin.direction))
             for pin in master.pins
         ]
-        rebuilt[mname] = make_cell_master(fabric.kind, spec, name=mname)
+        rebuilt[mname] = make_cell_master(fabric, spec, name=mname)
     return dataclasses.replace(netlist, masters=rebuilt)
 
 

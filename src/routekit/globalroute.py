@@ -12,20 +12,12 @@ grows and overused edges accumulate history cost.  Multi-terminal nets are
 decomposed over a rectilinear MST of their terminal gcells, and each new
 connection may start from any node of the net's partial tree, so shared
 segments cost nothing.
-
-Rerouting proceeds in batches that are prefixes of the deterministic net
-order and pairwise region-disjoint.  Nets inside a batch cannot interact,
-so routing them concurrently against the iteration snapshot and committing
-in order is bit-identical to the sequential schedule; ``parallel=True``
-merely executes batch members on a thread pool.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +36,6 @@ class RoutingError(RuntimeError):
 @dataclass
 class RouteParams:
     max_iters: int = 40
-    seed: int = 0
     present_factor: float = 1.0
     present_growth: float = 1.5
     history_increment: float = 1.0
@@ -52,9 +43,6 @@ class RouteParams:
     stagnation_iters: int = 3  # stop after this many expensive iterations without progress
     stagnation_gain: float = 0.02  # >=2% overflow reduction counts as progress
     stagnation_min_nets: int = 128  # smaller reroute batches are cheap; let them run
-    full_ripup: bool = False  # rip every net on an overflowed edge, not just the excess
-    parallel: bool = False
-    workers: int = 4
 
 
 class RoutingGraph:
@@ -179,56 +167,14 @@ def build_grid(fabric: FabricSpec, die, gcell_size: int,
     )
 
 
-def apply_obstacles(graph: RoutingGraph, netlist: Netlist, placement: Placement) -> int:
-    """Reduce planar edge capacities under intra-cell obstacle metal.
-
-    Each obstacle rectangle removes tracks from the gcell edges it covers in
-    proportion to the blocked fraction of the gcell cross-section.  Returns
-    the number of edges whose capacity changed.
-    """
-    g = graph.gcell_size
-    changed = 0
-    for cell in netlist.cells:
-        master = netlist.masters[cell.master]
-        if not master.obstacles:
-            continue
-        cx, cy = placement.assignments[cell.id]
-        for layer, (rx0, ry0, rx1, ry1) in master.obstacles:
-            li = layer - 1
-            if li >= graph.layers:
-                continue
-            ax0, ay0 = cx + rx0, cy + ry0
-            ax1, ay1 = cx + rx1, cy + ry1
-            for gy in range(max(0, ay0 // g), min(graph.y, -(-ay1 // g))):
-                for gx in range(max(0, ax0 // g), min(graph.x, -(-ax1 // g))):
-                    ox = min(ax1, (gx + 1) * g) - max(ax0, gx * g)
-                    oy = min(ay1, (gy + 1) * g) - max(ay0, gy * g)
-                    if ox <= 0 or oy <= 0:
-                        continue
-                    # Tracks run along the layer direction; the blocked
-                    # fraction is measured across it.
-                    frac = (oy / g) if graph.layer_dirs[li] == "h" else (ox / g)
-                    if graph.layer_dirs[li] == "h" and gx < graph.x - 1:
-                        eid = graph.planar_edge(li, gx, gy)
-                    elif graph.layer_dirs[li] == "v" and gy < graph.y - 1:
-                        eid = graph.planar_edge(li, gx, gy)
-                    else:
-                        continue
-                    old = graph.capacity[eid]
-                    new = max(0, old - int(round(frac * old)))
-                    if new != old:
-                        graph.capacity[eid] = new
-                        changed += 1
-    return changed
-
-
 def terminal_gcells(net, netlist: Netlist, placement: Placement,
                     graph: RoutingGraph, fabric: FabricSpec) -> list[list[int]]:
     """Entry nodes for each terminal of a net.
 
     A terminal may enter the grid at any of its pin's access points, so S3DC
     pins offer one node per access layer while planar/monolithic pins sit on
-    layer 1 only.    Duplicate (gcell, layer) entries collapse.
+    layer 1 only.  Duplicate (gcell, layer) entries collapse.  An access
+    layer above the grid's top layer is an error.
     """
     g = graph.gcell_size
     out: list[list[int]] = []
@@ -239,10 +185,14 @@ def terminal_gcells(net, netlist: Netlist, placement: Placement,
         pin = netlist.master_of(cid).pin(pin_name)
         entries: dict[int, None] = {}
         for layer, dx, dy in pin.accesses:
+            if layer > graph.layers:
+                raise RoutingError(
+                    f"net {net.id!r}: pin {cid}.{pin_name} accesses layer {layer}, "
+                    f"above the grid's {graph.layers} layers"
+                )
             gx = min((ox + dx) // g, graph.x - 1)
             gy = min((oy + dy) // g, graph.y - 1)
-            li = min(layer - 1, graph.layers - 1)
-            entries.setdefault(graph.node_id(gx, gy, li), None)
+            entries.setdefault(graph.node_id(gx, gy, layer - 1), None)
         out.append(list(entries))
     return out
 
@@ -292,7 +242,8 @@ class CongestionMap:
 
     @property
     def congested(self) -> bool:
-        return any(self.layer_max_ratio(li) > 1.0 for li in range(len(self.layer_dirs)))
+        """Any edge, planar or via, carries more demand than its capacity."""
+        return self.overflow_edge_count > 0
 
 
 def build_congestion_map(graph: RoutingGraph) -> CongestionMap:
@@ -334,7 +285,8 @@ class LayerRatio:
 def demand_resource_ratios(cmap: CongestionMap) -> list[LayerRatio]:
     """Per-layer demand/resource summary, ordered by layer (planar edges).
 
-    A design counts as congested when any layer's max edge ratio exceeds 1.
+    Via edges are not summarised here; ``CongestionMap.congested`` counts
+    them too.
     """
     rows = []
     for li in range(len(cmap.layer_dirs)):
@@ -399,24 +351,8 @@ class _Scratch:
         self.gen = 0
 
 
-class _ScratchPool:
-    """One _Scratch per thread; search state never crosses threads."""
-
-    def __init__(self, nnodes: int):
-        self._nnodes = nnodes
-        self._local = threading.local()
-
-    def get(self) -> _Scratch:
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = _Scratch(self._nnodes)
-            self._local.scratch = scratch
-        return scratch
-
-
 def _astar(graph: RoutingGraph, sources, targets: set[int],
-           bounds: tuple[int, int, int, int], pres_fac: float,
-           scratch: _Scratch | None = None):
+           bounds: tuple[int, int, int, int], pres_fac: float, scratch: _Scratch):
     """Cheapest path from any source to any target inside ``bounds``.
 
     Edge cost is 1 + history + pres_fac * (overuse if this net were added);
@@ -433,8 +369,6 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     pbase = graph.pbase
     via_base = graph.via_base
 
-    if scratch is None:
-        scratch = _Scratch(xy * layers)
     scratch.gen += 1
     gen = scratch.gen
     gs = scratch.g
@@ -566,7 +500,7 @@ def _region(task: _NetTask, margin: int, graph: RoutingGraph) -> tuple[int, int,
 
 
 def _route_one(graph: RoutingGraph, task: _NetTask, bounds, pres_fac: float,
-               scratch: _Scratch | None = None):
+               scratch: _Scratch):
     """Route a whole net inside ``bounds``; returns edge list or None."""
     entry_sets = [set(e) for e in task.entries]
     tree_nodes: set[int] | None = None
@@ -639,70 +573,70 @@ def route_terminal_sets(
     dem = graph.demand
     pres_fac = params.present_factor
 
-    pool = ThreadPoolExecutor(max_workers=params.workers) if params.parallel else None
-    scratch = _ScratchPool(graph.x * graph.y * graph.layers)
+    scratch = _Scratch(graph.x * graph.y * graph.layers)
+    margin = params.bbox_margin
     best_overflow = None
     stale = 0
-    try:
-        pending = list(order)
-        for iteration in range(params.max_iters + 1):
-            if iteration > 0:
-                over = [e for e in range(graph.num_edges) if dem[e] > graph.capacity[e]]
-                if not over:
-                    break
-                if best_overflow is None or len(over) < best_overflow * (1.0 - params.stagnation_gain):
-                    best_overflow = len(over)
-                    stale = 0
-                else:
-                    best_overflow = min(best_overflow, len(over))
-                    stale += 1
-                over_set = set(over)
-                users: dict[int, list[int]] = {e: [] for e in over}
-                for i in order:
-                    edges = routed_edges.get(i)
-                    if edges is None:
-                        continue
-                    for e in edges:
-                        if e in over_set:
-                            users[e].append(i)
-                if params.full_ripup:
-                    ripped = {i for lst in users.values() for i in lst}
-                else:
-                    # Per overflowed edge, only the excess (demand - capacity)
-                    # users reroute, lowest-priority first.  Earlier-routed
-                    # (larger) nets keep their claim; history keeps pressure
-                    # on edges that stay contested.
-                    ripped = set()
-                    for e in over:
-                        need = dem[e] - graph.capacity[e]
-                        need -= sum(1 for i in users[e] if i in ripped)
-                        for i in reversed(users[e]):
-                            if need <= 0:
-                                break
-                            if i not in ripped:
-                                ripped.add(i)
-                                need -= 1
-                pending = [i for i in order if i in ripped]
-                if not pending:
-                    break
-                if stale >= params.stagnation_iters and len(pending) > params.stagnation_min_nets:
-                    logger.debug("overflow stagnant for %d iterations, stopping", stale)
-                    break
-                for e in over:
-                    graph.history[e] += params.history_increment * (dem[e] - graph.capacity[e])
-                for i in pending:
-                    for e in routed_edges.pop(i):
-                        dem[e] -= 1
-                pres_fac *= params.present_growth
-                logger.debug(
-                    "reroute iteration %d: %d overflowed edges, %d nets",
-                    iteration, len(over), len(pending),
-                )
-            _route_batchwise(graph, tasks, pending, params, pres_fac, routed_edges,
-                             pool, scratch)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    pending = list(order)
+    for iteration in range(params.max_iters + 1):
+        if iteration > 0:
+            over = [e for e in range(graph.num_edges) if dem[e] > graph.capacity[e]]
+            if not over:
+                break
+            if best_overflow is None or len(over) < best_overflow * (1.0 - params.stagnation_gain):
+                best_overflow = len(over)
+                stale = 0
+            else:
+                best_overflow = min(best_overflow, len(over))
+                stale += 1
+            over_set = set(over)
+            users: dict[int, list[int]] = {e: [] for e in over}
+            for i in order:
+                edges = routed_edges.get(i)
+                if edges is None:
+                    continue
+                for e in edges:
+                    if e in over_set:
+                        users[e].append(i)
+            # Per overflowed edge, only the excess (demand - capacity) users
+            # reroute, lowest-priority first.  Earlier-routed (larger) nets
+            # keep their claim; history keeps pressure on edges that stay
+            # contested.
+            ripped = set()
+            for e in over:
+                need = dem[e] - graph.capacity[e]
+                need -= sum(1 for i in users[e] if i in ripped)
+                for i in reversed(users[e]):
+                    if need <= 0:
+                        break
+                    if i not in ripped:
+                        ripped.add(i)
+                        need -= 1
+            pending = [i for i in order if i in ripped]
+            if not pending:
+                break
+            if stale >= params.stagnation_iters and len(pending) > params.stagnation_min_nets:
+                logger.debug("overflow stagnant for %d iterations, stopping", stale)
+                break
+            for e in over:
+                graph.history[e] += params.history_increment * (dem[e] - graph.capacity[e])
+            for i in pending:
+                for e in routed_edges.pop(i):
+                    dem[e] -= 1
+            pres_fac *= params.present_growth
+            logger.debug(
+                "reroute iteration %d: %d overflowed edges, %d nets",
+                iteration, len(over), len(pending),
+            )
+        # Route in order, committing each net's demand before the next one.
+        for i in pending:
+            task = tasks[i]
+            edges = _route_one(graph, task, _region(task, margin, graph), pres_fac, scratch)
+            if edges is None:
+                edges = _route_with_growth(graph, task, margin, pres_fac, scratch)
+            for e in edges:
+                dem[e] += 1
+            routed_edges[i] = edges
 
     routes = [NetRoute(net_id=t.net_id, edges=tuple(routed_edges.get(i, ())))
               for i, t in enumerate(tasks)]
@@ -710,55 +644,6 @@ def route_terminal_sets(
     if cmap.overflow_edge_count:
         logger.warning("routing finished with %d overflowed edges", cmap.overflow_edge_count)
     return routes, cmap
-
-
-def _route_batchwise(graph, tasks, pending, params, pres_fac, routed_edges, pool,
-                     scratch):
-    """Route ``pending`` (task indices, already ordered) in prefix batches of
-    pairwise region-disjoint nets; commit demand in order."""
-    pos = 0
-    margin = params.bbox_margin
-    while pos < len(pending):
-        batch = [pending[pos]]
-        regions = [_region(tasks[pending[pos]], margin, graph)]
-        pos += 1
-        while pos < len(pending):
-            cand = _region(tasks[pending[pos]], margin, graph)
-            if any(_intersects(cand, reg) for reg in regions):
-                break
-            batch.append(pending[pos])
-            regions.append(cand)
-            pos += 1
-
-        if pool is not None and len(batch) > 1:
-            results = list(pool.map(
-                lambda ir: _route_one(graph, tasks[ir[0]], ir[1], pres_fac, scratch.get()),
-                zip(batch, regions),
-            ))
-        else:
-            results = [
-                _route_one(graph, tasks[i], reg, pres_fac, scratch.get())
-                for i, reg in zip(batch, regions)
-            ]
-
-        # Commit in order.  A net that fails its region routes again with a
-        # grown region; those commits may touch later batch members' regions,
-        # so from that point on the rest of the batch reroutes live.
-        dirty = False
-        for i, spec in zip(batch, results):
-            if not dirty and spec is not None:
-                edges = spec
-            else:
-                edges = None
-                if dirty:
-                    edges = _route_one(graph, tasks[i], _region(tasks[i], margin, graph),
-                                       pres_fac, scratch.get())
-                if edges is None:
-                    edges = _route_with_growth(graph, tasks[i], margin, pres_fac, scratch.get())
-                    dirty = True
-            for e in edges:
-                graph.demand[e] += 1
-            routed_edges[i] = edges
 
 
 def _route_with_growth(graph, task, margin, pres_fac, scratch):
@@ -775,10 +660,6 @@ def _route_with_growth(graph, task, margin, pres_fac, scratch):
             )
 
 
-def _intersects(a, b) -> bool:
-    return not (a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2])
-
-
 def route(
     netlist: Netlist,
     placement: Placement,
@@ -788,8 +669,8 @@ def route(
     """Route every multi-terminal net of a placed netlist.
 
     Dangling (single-terminal) nets are skipped with a warning and appear in
-    the result with an empty edge set.  Deterministic for a fixed seed, with
-    or without ``params.parallel``.
+    the result with an empty edge set.  Deterministic: the result depends
+    only on the netlist, the placement, the graph and ``params``.
     """
     if graph.fabric is None:
         raise RoutingError("graph was built without a fabric reference")

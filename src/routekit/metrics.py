@@ -194,7 +194,8 @@ def report_records(rows: list[BenchmarkReport], baseline_label: str) -> list[dic
     return records
 
 
-def _fmt(value) -> str:
+def fmt(value) -> str:
+    """A CSV cell: floats with 10 significant digits, everything else as str."""
     if isinstance(value, float):
         return format(value, ".10g")
     return str(value)
@@ -205,7 +206,7 @@ def emit_report_csv(rows: list[BenchmarkReport], baseline_label: str) -> str:
     cols = list(records[0].keys())
     lines = [",".join(cols)]
     for rec in records:
-        lines.append(",".join(_fmt(rec[c]) for c in cols))
+        lines.append(",".join(fmt(rec[c]) for c in cols))
     return "\n".join(lines) + "\n"
 
 
@@ -213,13 +214,3 @@ def emit_report_json(rows: list[BenchmarkReport], baseline_label: str) -> str:
     records = report_records(rows, baseline_label)
     return json.dumps({"baseline": baseline_label, "rows": records},
                       indent=2, sort_keys=True) + "\n"
-
-
-def emit_report(rows: list[BenchmarkReport], baseline_label: str, format: str = "csv") -> str:
-    if not rows:
-        raise MetricsError("report needs at least one row")
-    if format == "csv":
-        return emit_report_csv(rows, baseline_label)
-    if format == "json":
-        return emit_report_json(rows, baseline_label)
-    raise MetricsError(f"unknown report format {format!r}")

@@ -200,6 +200,42 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"seed": 1.5}, "seed"),
+    ({"utilization": "0.6"}, "utilization"),
+    ({"max_temps": True}, "max_temps"),
+    ({"label": 7}, "label"),
+])
+def test_config_rejects_mistyped_values(tmp_path, capsys, config, key):
+    net = gen_netlist(tmp_path / "n.net")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    rc = run_cli("run", "--config", cfg, "--netlist", net, "-o", tmp_path / "out")
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_int_for_float_and_null_for_nullable(tmp_path):
+    net = gen_netlist(tmp_path / "n.net")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"utilization": 1, "label": None, "cells": None,
+                               "moves_per_temp": 500, "max_temps": 10}))
+    out = tmp_path / "out"
+    rc = run_cli("run", "--config", cfg, "--netlist", net, "--seed", 1, "-o", out)
+    assert rc in (0, 3)
+    assert json.loads((out / "run_meta.json").read_text())["utilization"] == 1.0
+
+
+def test_config_rejects_removed_parallel_key(tmp_path, capsys):
+    net = gen_netlist(tmp_path / "n.net")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"parallel": False}))
+    rc = run_cli("run", "--config", cfg, "--netlist", net, "-o", tmp_path / "out")
+    assert rc == 2
+    assert "unknown keys ['parallel']" in capsys.readouterr().err
+
+
 def test_place_then_route_pipeline(tmp_path):
     net = gen_netlist(tmp_path / "n.net", cells=128)
     out = tmp_path / "flow"
@@ -212,6 +248,11 @@ def test_place_then_route_pipeline(tmp_path):
     assert rc in (0, 3)
     assert (out / "routes.txt").is_file()
     assert (out / "congestion_L1.csv").is_file()
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["gcell"] == 3
+    assert meta["congested"] == (meta["overflow_edges"] > 0)
+    assert rc == (3 if meta["overflow_edges"] else 0)
+    assert meta["seed"] == 2 and meta["fabric"] == "2d"
 
 
 def test_route_missing_placement_exits_2(tmp_path, capsys):

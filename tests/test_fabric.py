@@ -203,6 +203,17 @@ def test_load_custom_access_layers():
         fab.load_fabric("kind s3dc\naccess_layers 2 3\n")  # count must match N
 
 
+def test_bind_masters_uses_fabric_access_layers():
+    d = nl.parse_netlist("master M pins A B OUT\ncell c1 M\ncell c2 M\nnet n1 c1.OUT c2.A\n")
+    for text, expected in (
+        ("kind s3dc\npin_layers 3\naccess_layers 7 8 9\n", {7, 8, 9}),
+        ("kind 2d\naccess_layers 2\n", {2}),
+    ):
+        bound = fab.bind_masters(d, fab.load_fabric(text))
+        used = {layer for pin in bound.masters["M"].pins for layer, _, _ in pin.accesses}
+        assert used == expected, text
+
+
 def test_load_reports_line_numbers():
     with pytest.raises(fab.FabricConfigError, match="line 2"):
         fab.load_fabric("kind 2d\nlayer x cap 5\n")

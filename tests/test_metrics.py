@@ -189,16 +189,6 @@ def test_csv_and_json_encode_identical_values():
                 assert float(cell) == pytest.approx(float(v), rel=1e-9)
 
 
-def test_emit_report_dispatch():
-    rows = [make_row("base")]
-    assert metrics.emit_report(rows, "base", "csv") == metrics.emit_report_csv(rows, "base")
-    assert metrics.emit_report(rows, "base", "json") == metrics.emit_report_json(rows, "base")
-    with pytest.raises(metrics.MetricsError):
-        metrics.emit_report(rows, "base", "xml")
-    with pytest.raises(metrics.MetricsError):
-        metrics.emit_report([], "base")
-
-
 def test_power_params_validation():
     with pytest.raises(metrics.MetricsError):
         metrics.PowerParams(clock_freq_ghz=0)
