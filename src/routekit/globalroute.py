@@ -99,11 +99,6 @@ class RoutingGraph:
     def node_id(self, gx: int, gy: int, layer0: int) -> int:
         return (layer0 * self.y + gy) * self.x + gx
 
-    def node_coords(self, nid: int) -> tuple[int, int, int]:
-        gx = nid % self.x
-        gy = (nid // self.x) % self.y
-        return gx, gy, nid // (self.x * self.y)
-
     def planar_edge(self, layer0: int, gx: int, gy: int) -> int:
         """Edge from (gx,gy) toward +x on 'h' layers, +y on 'v' layers."""
         if self.layer_dirs[layer0] == "h":
@@ -141,10 +136,6 @@ class RoutingGraph:
     @property
     def gcell_um(self) -> float:
         return self.gcell_size * self.site_dim_nm / 1000.0
-
-    def reset(self) -> None:
-        self.demand = [0] * self.num_edges
-        self.history = [0.0] * self.num_edges
 
 
 def build_grid(fabric: FabricSpec, die, gcell_size: int,
@@ -338,17 +329,38 @@ def _prim_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 class _Scratch:
-    """Per-search node state reused across A* calls via generation stamps."""
+    """Per-search node state reused across A* calls via generation stamps,
+    plus the grid's per-node tables, built once per routing call.
 
-    __slots__ = ("g", "stamp", "closed_stamp", "parent_node", "parent_edge", "gen")
+    ``nx``/``ny``/``nz`` give each node's coordinates, ``pplus`` the id of
+    its planar edge toward +x ('h' layers) or +y ('v' layers), -1 at the
+    border, and ``horiz`` flags the 'h' layers.  A node's -direction planar
+    edge is ``pplus`` of its -direction neighbour; its via edges are
+    ``via_base + u - X*Y`` (down) and ``via_base + u`` (up).
+    """
 
-    def __init__(self, nnodes: int):
+    __slots__ = ("g", "stamp", "closed_stamp", "parent_node", "parent_edge", "gen",
+                 "nx", "ny", "nz", "pplus", "horiz")
+
+    def __init__(self, graph: RoutingGraph):
+        x_dim, y_dim, layers = graph.x, graph.y, graph.layers
+        nnodes = x_dim * y_dim * layers
         self.g = [0.0] * nnodes
         self.stamp = [0] * nnodes
         self.closed_stamp = [0] * nnodes
         self.parent_node = [-1] * nnodes
         self.parent_edge = [-1] * nnodes
         self.gen = 0
+
+        self.nx = list(range(x_dim)) * (y_dim * layers)
+        self.ny = [gy for _ in range(layers) for gy in range(y_dim) for _ in range(x_dim)]
+        self.nz = [z for z in range(layers) for _ in range(x_dim * y_dim)]
+        self.horiz = horiz = [d == "h" for d in graph.layer_dirs]
+        self.pplus = [
+            graph.planar_edge(z, gx, gy)
+            if (gx < x_dim - 1 if horiz[z] else gy < y_dim - 1) else -1
+            for z in range(layers) for gy in range(y_dim) for gx in range(x_dim)
+        ]
 
 
 def _astar(graph: RoutingGraph, sources, targets: set[int],
@@ -359,14 +371,13 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     zero-capacity planar edges are impassable.  Ties break on ascending node
     id, i.e. lexicographic (layer, y, x).  Returns (edges, nodes) or None.
     """
-    x_dim, y_dim, layers = graph.x, graph.y, graph.layers
-    xy = x_dim * y_dim
+    x_dim = graph.x
+    xy = x_dim * graph.y
+    top = graph.layers - 1
     xlo, xhi, ylo, yhi = bounds
     cap = graph.capacity
     dem = graph.demand
     hist = graph.history
-    dirs = graph.layer_dirs
-    pbase = graph.pbase
     via_base = graph.via_base
 
     scratch.gen += 1
@@ -376,44 +387,41 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     closed = scratch.closed_stamp
     pnode = scratch.parent_node
     pedge = scratch.parent_edge
+    nx = scratch.nx
+    ny = scratch.ny
+    nz = scratch.nz
+    pplus = scratch.pplus
+    horiz = scratch.horiz
 
     # Bounding box of the target set: distance-to-box is admissible for any
     # number of targets and collapses to Manhattan distance for one target.
-    txlo = tylo = tzlo = 1 << 60
-    txhi = tyhi = tzhi = -1
-    for t in targets:
-        tx = t % x_dim
-        ty = (t // x_dim) % y_dim
-        tz = t // xy
-        if tx < txlo:
-            txlo = tx
-        if tx > txhi:
-            txhi = tx
-        if ty < tylo:
-            tylo = ty
-        if ty > tyhi:
-            tyhi = ty
-        if tz < tzlo:
-            tzlo = tz
-        if tz > tzhi:
-            tzhi = tz
+    # hx/hy/hz hold each axis's integer distance to the box.
+    txs = [nx[t] for t in targets]
+    tys = [ny[t] for t in targets]
+    tzs = [nz[t] for t in targets]
+    txlo, txhi = min(txs), max(txs)
+    tylo, tyhi = min(tys), max(tys)
+    tzlo, tzhi = min(tzs), max(tzs)
+    hx = [*range(txlo, 0, -1), *[0] * (txhi - txlo + 1), *range(1, x_dim - txhi)]
+    hy = [*range(tylo, 0, -1), *[0] * (tyhi - tylo + 1), *range(1, graph.y - tyhi)]
+    hz = [*range(tzlo, 0, -1), *[0] * (tzhi - tzlo + 1), *range(1, top + 1 - tzhi)]
 
     heap: list[tuple[float, int]] = []
     for s in sources:
-        sx = s % x_dim
-        sy = (s // x_dim) % y_dim
+        sx = nx[s]
+        sy = ny[s]
         if not (xlo <= sx <= xhi and ylo <= sy <= yhi):
             continue
         if stamp[s] != gen:
             stamp[s] = gen
             gs[s] = 0.0
             pnode[s] = -1
-            sz = s // xy
-            h0 = ((txlo - sx if sx < txlo else (sx - txhi if sx > txhi else 0))
-                  + (tylo - sy if sy < tylo else (sy - tyhi if sy > tyhi else 0))
-                  + (tzlo - sz if sz < tzlo else (sz - tzhi if sz > tzhi else 0)))
-            heapq.heappush(heap, (float(h0), s))
+            heapq.heappush(heap, (float(hx[sx] + hy[sy] + hz[nz[s]]), s))
 
+    # Moves are unrolled: planar -/+ along the layer's direction within the
+    # region bounds (zero-capacity planar edges are impassable), then via
+    # down/up.  ``g1 + hist[eid] + present`` keeps the float association of
+    # ``g + 1 + history + present``, so costs and tie-breaks are exact.
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
@@ -432,50 +440,68 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
             edges.reverse()
             nodes.reverse()
             return edges, nodes
-        gu = gs[u]
-        ux = u % x_dim
-        uy = (u // x_dim) % y_dim
-        uz = u // xy
+        g1 = gs[u] + 1.0
+        ux = nx[u]
+        uy = ny[u]
+        uz = nz[u]
 
-        # Candidate (neighbor, edge, x, y, z) moves; planar moves respect the
-        # layer direction and region bounds, vias are always present.
-        cands = []
-        if dirs[uz] == "h":
-            row = pbase[uz] + uy * (x_dim - 1)
-            if ux > xlo:
-                cands.append((u - 1, row + ux - 1, ux - 1, uy, uz))
-            if ux < xhi:
-                cands.append((u + 1, row + ux, ux + 1, uy, uz))
+        # Planar moves step by 1 on 'h' layers and by X on 'v' layers.
+        if horiz[uz]:
+            at, lo, hi, step, hp, hrest = ux, xlo, xhi, 1, hx, hy[uy] + hz[uz]
         else:
-            col = pbase[uz] + ux
-            if uy > ylo:
-                cands.append((u - x_dim, col + (uy - 1) * x_dim, ux, uy - 1, uz))
-            if uy < yhi:
-                cands.append((u + x_dim, col + uy * x_dim, ux, uy + 1, uz))
-        via_at = via_base + uy * x_dim + ux
+            at, lo, hi, step, hp, hrest = uy, ylo, yhi, x_dim, hy, hx[ux] + hz[uz]
+        if at > lo:
+            v = u - step
+            if closed[v] != gen:
+                eid = pplus[v]
+                c = cap[eid]
+                if c > 0:
+                    over = dem[eid] + 1 - c
+                    ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
+                    if stamp[v] != gen or gs[v] > ng:
+                        stamp[v] = gen
+                        gs[v] = ng
+                        pnode[v] = u
+                        pedge[v] = eid
+                        push(heap, (ng + (hp[at - 1] + hrest), v))
+        if at < hi:
+            v = u + step
+            if closed[v] != gen:
+                eid = pplus[u]
+                c = cap[eid]
+                if c > 0:
+                    over = dem[eid] + 1 - c
+                    ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
+                    if stamp[v] != gen or gs[v] > ng:
+                        stamp[v] = gen
+                        gs[v] = ng
+                        pnode[v] = u
+                        pedge[v] = eid
+                        push(heap, (ng + (hp[at + 1] + hrest), v))
         if uz > 0:
-            cands.append((u - xy, via_at + (uz - 1) * xy, ux, uy, uz - 1))
-        if uz < layers - 1:
-            cands.append((u + xy, via_at + uz * xy, ux, uy, uz + 1))
-
-        for v, eid, vx, vy, vz in cands:
-            if closed[v] == gen:
-                continue
-            c = cap[eid]
-            if c <= 0 and eid < via_base:
-                continue
-            over = dem[eid] + 1 - c
-            ng = gu + 1.0 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
-            if stamp[v] == gen and gs[v] <= ng:
-                continue
-            stamp[v] = gen
-            gs[v] = ng
-            pnode[v] = u
-            pedge[v] = eid
-            h = ((txlo - vx if vx < txlo else (vx - txhi if vx > txhi else 0))
-                 + (tylo - vy if vy < tylo else (vy - tyhi if vy > tyhi else 0))
-                 + (tzlo - vz if vz < tzlo else (vz - tzhi if vz > tzhi else 0)))
-            push(heap, (ng + h, v))
+            v = u - xy
+            if closed[v] != gen:
+                eid = via_base + v
+                over = dem[eid] + 1 - cap[eid]
+                ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
+                if stamp[v] != gen or gs[v] > ng:
+                    stamp[v] = gen
+                    gs[v] = ng
+                    pnode[v] = u
+                    pedge[v] = eid
+                    push(heap, (ng + (hx[ux] + hy[uy] + hz[uz - 1]), v))
+        if uz < top:
+            v = u + xy
+            if closed[v] != gen:
+                eid = via_base + u
+                over = dem[eid] + 1 - cap[eid]
+                ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
+                if stamp[v] != gen or gs[v] > ng:
+                    stamp[v] = gen
+                    gs[v] = ng
+                    pnode[v] = u
+                    pedge[v] = eid
+                    push(heap, (ng + (hx[ux] + hy[uy] + hz[uz + 1]), v))
     return None
 
 
@@ -573,14 +599,17 @@ def route_terminal_sets(
     dem = graph.demand
     pres_fac = params.present_factor
 
-    scratch = _Scratch(graph.x * graph.y * graph.layers)
+    scratch = _Scratch(graph)
     margin = params.bbox_margin
+    cap = graph.capacity
+    # Edges with demand > capacity, kept current at every demand change.
+    overflowed = {e for e in range(graph.num_edges) if dem[e] > cap[e]}
     best_overflow = None
     stale = 0
     pending = list(order)
     for iteration in range(params.max_iters + 1):
         if iteration > 0:
-            over = [e for e in range(graph.num_edges) if dem[e] > graph.capacity[e]]
+            over = sorted(overflowed)
             if not over:
                 break
             if best_overflow is None or len(over) < best_overflow * (1.0 - params.stagnation_gain):
@@ -589,14 +618,13 @@ def route_terminal_sets(
             else:
                 best_overflow = min(best_overflow, len(over))
                 stale += 1
-            over_set = set(over)
             users: dict[int, list[int]] = {e: [] for e in over}
             for i in order:
                 edges = routed_edges.get(i)
-                if edges is None:
+                if edges is None or overflowed.isdisjoint(edges):
                     continue
                 for e in edges:
-                    if e in over_set:
+                    if e in overflowed:
                         users[e].append(i)
             # Per overflowed edge, only the excess (demand - capacity) users
             # reroute, lowest-priority first.  Earlier-routed (larger) nets
@@ -604,7 +632,7 @@ def route_terminal_sets(
             # contested.
             ripped = set()
             for e in over:
-                need = dem[e] - graph.capacity[e]
+                need = dem[e] - cap[e]
                 need -= sum(1 for i in users[e] if i in ripped)
                 for i in reversed(users[e]):
                     if need <= 0:
@@ -619,10 +647,12 @@ def route_terminal_sets(
                 logger.debug("overflow stagnant for %d iterations, stopping", stale)
                 break
             for e in over:
-                graph.history[e] += params.history_increment * (dem[e] - graph.capacity[e])
+                graph.history[e] += params.history_increment * (dem[e] - cap[e])
             for i in pending:
                 for e in routed_edges.pop(i):
                     dem[e] -= 1
+                    if dem[e] == cap[e]:
+                        overflowed.discard(e)
             pres_fac *= params.present_growth
             logger.debug(
                 "reroute iteration %d: %d overflowed edges, %d nets",
@@ -636,6 +666,8 @@ def route_terminal_sets(
                 edges = _route_with_growth(graph, task, margin, pres_fac, scratch)
             for e in edges:
                 dem[e] += 1
+                if dem[e] > cap[e]:
+                    overflowed.add(e)
             routed_edges[i] = edges
 
     routes = [NetRoute(net_id=t.net_id, edges=tuple(routed_edges.get(i, ())))

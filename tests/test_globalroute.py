@@ -256,7 +256,7 @@ def test_doubling_capacity_never_increases_overflow():
         assert overflow[2] <= overflow[1]
 
 
-def test_route_deterministic_and_parallel_identical():
+def test_route_deterministic():
     fabric = fab.builtin_fabric("2d")
     die = Die(48, 48, fabric.site_dim_nm, 0.6)
     results = []

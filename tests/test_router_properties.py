@@ -1,0 +1,158 @@
+"""Property tests for the router, on random small grids.
+
+The table-driven A* search and the overflow bookkeeping of the reroute loop
+must give exactly what the frozen references in ``router_reference.py``
+give, and routed nets must be trees whose usage accounts for every unit of
+demand.  The hypothesis profile is bounded and derandomised, so every run
+checks the same examples.
+"""
+
+import copy
+
+import router_reference as ref
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from routekit import globalroute as gr
+
+BOUNDED = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def grids(draw, max_side=6, max_layers=4):
+    """A routing graph with a random layer stack.  Layers 1 and 2 run in
+    different directions with capacity >= 1, so every node is reachable;
+    the layers above take any direction and capacity, zero included."""
+    x = draw(st.integers(1, max_side))
+    y = draw(st.integers(1, max_side))
+    layers = draw(st.integers(2, max_layers))
+    dirs = list(draw(st.sampled_from(["hv", "vh"])))
+    dirs += draw(st.lists(st.sampled_from("hv"), min_size=layers - 2, max_size=layers - 2))
+    caps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+    caps += draw(st.lists(st.integers(0, 3), min_size=layers - 2, max_size=layers - 2))
+    via_cap = draw(st.integers(1, 3))
+    return gr.RoutingGraph(x, y, layers, 1, 100.0, tuple(dirs), tuple(caps), via_cap)
+
+
+def node_sets(rnd, nnodes, count, max_size=3):
+    return [rnd.sample(range(nnodes), rnd.randint(1, min(max_size, nnodes)))
+            for _ in range(count)]
+
+
+def pin_stack(rnd, graph):
+    """Entry nodes of one gcell on a run of adjacent layers, like a pin with
+    access on several metal layers."""
+    z0 = rnd.randrange(graph.layers)
+    z1 = rnd.randint(z0, graph.layers - 1)
+    gx, gy = rnd.randrange(graph.x), rnd.randrange(graph.y)
+    return [graph.node_id(gx, gy, z) for z in range(z0, z1 + 1)]
+
+
+# --- the table-driven search against the frozen reference
+
+
+@settings(BOUNDED, max_examples=300)
+@given(graph=grids(max_side=7, max_layers=5), rnd=st.randoms(use_true_random=False),
+       flat=st.booleans(), stacked=st.booleans(),
+       calls=st.lists(st.tuples(st.integers(0, 45), st.integers(0, 2**16)),
+                      min_size=1, max_size=6))
+def test_astar_matches_frozen_reference(graph, rnd, flat, stacked, calls):
+    # Random capacity (zero-capacity planar edges included), demand and
+    # integer history, or none of them (a first pass: all costs equal, so
+    # tie-breaks decide); then a run of searches between random node sets
+    # or pin stacks, sharing one scratch state per implementation, each
+    # committing its path like the router does.
+    for e in range(graph.num_edges):
+        if e < graph.via_base and rnd.random() < 0.2:
+            graph.capacity[e] = 0
+        if not flat:
+            graph.demand[e] = rnd.randint(0, 4)
+            graph.history[e] = float(rnd.randint(0, 6))
+    nnodes = graph.x * graph.y * graph.layers
+    new_scratch = gr._Scratch(graph)
+    ref_scratch = ref._Scratch(nnodes)
+    for k, region_seed in calls:
+        if stacked:
+            sources, target_list = pin_stack(rnd, graph), pin_stack(rnd, graph)
+        else:
+            sources, target_list = node_sets(rnd, nnodes, 2)
+        targets = set(target_list)
+        x0 = region_seed % graph.x
+        y0 = (region_seed // graph.x) % graph.y
+        bounds = (x0, rnd.randint(x0, graph.x - 1), y0, rnd.randint(y0, graph.y - 1))
+        pres_fac = 1.5 ** k
+        got = gr._astar(graph, sources, targets, bounds, pres_fac, new_scratch)
+        want = ref._astar(graph, sources, targets, bounds, pres_fac, ref_scratch)
+        assert got == want
+        if got is not None:
+            for e in got[0]:
+                graph.demand[e] += 1
+
+
+# --- routed nets
+
+
+def route_tree_nodes(graph, edges):
+    """Nodes of a route's edges, after checking that they form a tree."""
+    assert len(set(edges)) == len(edges)
+    adj: dict[int, list[int]] = {}
+    for e in edges:
+        a, b = graph.edge_endpoints(e)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    assert len(edges) == len(adj) - 1
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    assert seen == set(adj)
+    return seen
+
+
+@settings(BOUNDED, max_examples=120)
+@given(graph=grids(), rnd=st.randoms(use_true_random=False),
+       nnets=st.integers(1, 14), seed_overflow=st.booleans(),
+       max_iters=st.integers(0, 12))
+def test_routes_are_trees_and_account_for_demand(graph, rnd, nnets, seed_overflow,
+                                                 max_iters):
+    nnodes = graph.x * graph.y * graph.layers
+    if seed_overflow:
+        # demand already on the graph, some of it above capacity
+        for e in rnd.sample(range(graph.num_edges), min(4, graph.num_edges)):
+            graph.demand[e] = graph.capacity[e] + rnd.randint(0, 2)
+    initial = list(graph.demand)
+    nets = [(f"n{i}", node_sets(rnd, nnodes, rnd.randint(2, 4))) for i in range(nnets)]
+    params = gr.RouteParams(max_iters=max_iters)
+    ref_graph = copy.deepcopy(graph)
+
+    routes, cmap = gr.route_terminal_sets(graph, nets, params)
+
+    ref_routes, _ = ref.route_terminal_sets(ref_graph, nets, params)
+    assert routes == ref_routes
+    assert graph.demand == ref_graph.demand
+    assert graph.history == ref_graph.history
+
+    assert [r.net_id for r in routes] == [nid for nid, _ in nets]
+    usage = list(initial)
+    for route, (_, entries) in zip(routes, nets):
+        if route.edges:
+            nodes = route_tree_nodes(graph, route.edges)
+            assert all(nodes & set(entry) for entry in entries)
+        else:
+            # colocated terminals: one node is an entry of every terminal
+            assert set.intersection(*(set(entry) for entry in entries))
+        for e in route.edges:
+            usage[e] += 1
+    assert graph.demand == usage
+    overflowed = sum(d > c for d, c in zip(graph.demand, graph.capacity))
+    assert cmap.overflow_edge_count == overflowed
+    assert cmap.congested == (overflowed > 0)
