@@ -6,12 +6,21 @@ interspersed whitespace).  Cells occupy a uniform slot grid, so any slot
 assignment is overlap-free by construction.
 
 Placement itself is simulated annealing over swap/relocate moves with
-geometric cooling.  A zero-cost move is accepted with probability 0.5 so
-plateaus are still explored deterministically from the seeded RNG.
+geometric cooling.  A move takes a random cell to a random slot and swaps it
+with the slot's occupant, if any.  It is evaluated in place: the one or two
+cells are put at their new positions, each net they touch is rescored (a
+two-terminal net in closed form from a per-cell table, a larger one by a
+min/max scan of its terminals) into a scratch array, and a rejected move
+puts the cells back.  Nets whose terminals all sit on one cell never change
+and are not rescored.  A zero-cost move is accepted with probability 0.5 so
+plateaus are still explored deterministically from the seeded RNG.  The
+annealer logs its start temperature, each temperature step and why it
+stopped at DEBUG level on the ``routekit.placement`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass
@@ -19,6 +28,9 @@ from dataclasses import dataclass
 from .fabric import FabricSpec
 from .netlist import Netlist
 from .rent import PinDensityInput
+
+
+logger = logging.getLogger(__name__)
 
 
 class PlacementError(ValueError):
@@ -169,11 +181,7 @@ def place(
     nslots, slot_x, slot_y = _slots(netlist, die)
     n = len(netlist.cells)
     net_terms = _terminal_offsets(netlist)
-    cell_nets: list[list[int]] = [[] for _ in range(n)]
-    for j, terms in enumerate(net_terms):
-        for c, _, _ in terms:
-            if not cell_nets[c] or cell_nets[c][-1] != j:
-                cell_nets[c].append(j)
+    tables = _move_tables(net_terms, n)
 
     moves_per_temp = cfg.moves_per_temp
     if moves_per_temp is None:
@@ -185,7 +193,7 @@ def place(
     for _ in range(max(1, cfg.restarts)):
         slots = rng.sample(range(nslots), n)
         cost = _anneal(
-            slots, nslots, slot_x, slot_y, net_terms, cell_nets, rng,
+            slots, nslots, slot_x, slot_y, net_terms, tables, rng,
             moves_per_temp, cfg.cooling, cfg.min_accept_rate, cfg.max_temps,
         )
         if cost < best_cost:
@@ -200,10 +208,37 @@ def place(
     return Placement(assignments=assignments, die=die)
 
 
-def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, cell_nets, rng,
+def _move_tables(net_terms, n):
+    """Per-cell tables for scoring the nets a move touches.
+
+    For each cell: its two-terminal nets as ``(net, other cell, ox, oy)``,
+    worth ``|px[cell] - px[other] + ox| + |py[cell] - py[other] + oy|``; its
+    larger nets as ``(net, first cell, dx, dy, other terminals)``; the set of
+    both kinds' ids.  A net whose terminals all sit on one cell (an empty
+    net among them) keeps its value under every move and is left out.
+    """
+    two: list[list[tuple]] = [[] for _ in range(n)]
+    multi: list[list[tuple]] = [[] for _ in range(n)]
+    for j, terms in enumerate(net_terms):
+        cells = {c for c, _, _ in terms}
+        if len(cells) < 2:
+            continue
+        if len(terms) == 2:
+            (a, dxa, dya), (b, dxb, dyb) = terms
+            two[a].append((j, b, dxa - dxb, dya - dyb))
+            two[b].append((j, a, dxb - dxa, dyb - dya))
+        else:
+            entry = (j, *terms[0], tuple(terms[1:]))
+            for c in cells:
+                multi[c].append(entry)
+    return two, multi, [frozenset(e[0] for e in two[c] + multi[c]) for c in range(n)]
+
+
+def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
             moves_per_temp, cooling, min_accept, max_temps):
     """One annealing run; leaves ``cell_slot`` at the best-seen assignment
     and returns its cost."""
+    two, multi, cell_nets = tables
     n = len(cell_slot)
     slot_cell = [-1] * nslots
     for c, s in enumerate(cell_slot):
@@ -211,112 +246,152 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, cell_nets, rng,
     px = [slot_x[s] for s in cell_slot]
     py = [slot_y[s] for s in cell_slot]
 
-    hp = []
-    for terms in net_terms:
-        xs = [px[c] + dx for c, dx, _ in terms]
-        ys = [py[c] + dy for c, _, dy in terms]
-        hp.append((max(xs) - min(xs)) + (max(ys) - min(ys)))
+    hp = [0] * len(net_terms)
+    for j, terms in enumerate(net_terms):
+        if terms:
+            xs = [px[c] + dx for c, dx, _ in terms]
+            ys = [py[c] + dy for c, _, dy in terms]
+            hp[j] = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    nv = hp[:]  # the values of the nets the last probed move touches
     cost = sum(hp)
     best_cost = cost
-    best = cell_slot[:]
+    # The best-seen state, or None while the current state is it: a copy is
+    # taken only when an accepted move leaves that state.
+    best = None
 
     rand = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    exp = math.exp
+    # Cells and slots are drawn as randrange() draws them: bit_length() random
+    # bits, drawn again until the value is in range.
+    cell_bits = n.bit_length()
+    slot_bits = nslots.bit_length()
 
-    def probe(c, s1, c2, s2):
-        # HPWL delta and new per-net values with c at s2 (and c2, if any, at s1),
-        # computed without touching state.
-        nets = cell_nets[c]
-        if c2 >= 0:
-            nets = list(nets)
-            for j in cell_nets[c2]:
-                if j not in nets:
-                    nets.append(j)
-        nx2, ny2 = slot_x[s2], slot_y[s2]
-        nx1, ny1 = slot_x[s1], slot_y[s1]
+    def score(cell, x, y, skip):
+        # Rescore the nets of ``cell``, now at (x, y), except those in
+        # ``skip``: write their new values into nv, return the HPWL delta.
         delta = 0
-        new_vals = []
-        for j in nets:
-            xmin = ymin = 1 << 60
-            xmax = ymax = -(1 << 60)
-            for cc, dx, dy in net_terms[j]:
-                if cc == c:
-                    x = nx2 + dx
-                    y = ny2 + dy
-                elif cc == c2:
-                    x = nx1 + dx
-                    y = ny1 + dy
-                else:
-                    x = px[cc] + dx
-                    y = py[cc] + dy
-                if x < xmin:
-                    xmin = x
-                if x > xmax:
-                    xmax = x
-                if y < ymin:
-                    ymin = y
-                if y > ymax:
-                    ymax = y
-            v = (xmax - xmin) + (ymax - ymin)
-            new_vals.append(v)
+        for j, o, ox, oy in two[cell]:
+            if j in skip:
+                continue
+            v = abs(x - px[o] + ox) + abs(y - py[o] + oy)
+            nv[j] = v
             delta += v - hp[j]
-        return delta, nets, new_vals
+        for j, cc, dx, dy, rest in multi[cell]:
+            if j in skip:
+                continue
+            xmin = xmax = px[cc] + dx
+            ymin = ymax = py[cc] + dy
+            for cc, dx, dy in rest:
+                tx = px[cc] + dx
+                if tx < xmin:
+                    xmin = tx
+                elif tx > xmax:
+                    xmax = tx
+                ty = py[cc] + dy
+                if ty < ymin:
+                    ymin = ty
+                elif ty > ymax:
+                    ymax = ty
+            v = (xmax - xmin) + (ymax - ymin)
+            nv[j] = v
+            delta += v - hp[j]
+        return delta
 
-    def commit(c, s1, c2, s2, nets, new_vals):
-        cell_slot[c] = s2
-        slot_cell[s2] = c
-        px[c] = slot_x[s2]
-        py[c] = slot_y[s2]
-        if c2 >= 0:
-            cell_slot[c2] = s1
-            slot_cell[s1] = c2
-            px[c2] = slot_x[s1]
-            py[c2] = slot_y[s1]
-        else:
-            slot_cell[s1] = -1
-        for j, v in zip(nets, new_vals):
-            hp[j] = v
+    def probe(c, c2, x1, y1, x2, y2):
+        # Put c at (x2, y2) and c2, if any, at (x1, y1); return the HPWL delta.
+        px[c] = x2
+        py[c] = y2
+        if c2 < 0:
+            return score(c, x2, y2, ())
+        px[c2] = x1
+        py[c2] = y1
+        # A net of both cells is scored once, with c's nets.
+        return score(c, x2, y2, ()) + score(c2, x1, y1, cell_nets[c])
 
     # Calibrate the start temperature from typical move magnitudes.
     deltas = []
     for _ in range(min(200, 20 * n)):
-        c = randrange(n)
-        s2 = randrange(nslots)
+        c = getrandbits(cell_bits)
+        while c >= n:
+            c = getrandbits(cell_bits)
+        s2 = getrandbits(slot_bits)
+        while s2 >= nslots:
+            s2 = getrandbits(slot_bits)
         s1 = cell_slot[c]
         if s1 == s2:
             continue
-        d, _, _ = probe(c, s1, slot_cell[s2], s2)
-        deltas.append(abs(d))
+        c2 = slot_cell[s2]
+        x1, y1, x2, y2 = slot_x[s1], slot_y[s1], slot_x[s2], slot_y[s2]
+        deltas.append(abs(probe(c, c2, x1, y1, x2, y2)))
+        px[c] = x1
+        py[c] = y1
+        if c2 >= 0:
+            px[c2] = x2
+            py[c2] = y2
     t = max(1e-9, 2.0 * sum(deltas) / len(deltas)) if deltas else 1.0
+    logger.debug("anneal start: T=%.6g, cost %d, %d cells in %d slots, %d moves per step",
+                 t, cost, n, nslots, moves_per_temp)
 
-    for _ in range(max_temps):
+    min_accepted = max(1, int(min_accept * moves_per_temp))
+    for step in range(max_temps):
         accepted = 0
         for _ in range(moves_per_temp):
-            c = randrange(n)
-            s2 = randrange(nslots)
+            c = getrandbits(cell_bits)
+            while c >= n:
+                c = getrandbits(cell_bits)
+            s2 = getrandbits(slot_bits)
+            while s2 >= nslots:
+                s2 = getrandbits(slot_bits)
             s1 = cell_slot[c]
             if s1 == s2:
                 continue
             c2 = slot_cell[s2]
-            delta, nets, new_vals = probe(c, s1, c2, s2)
+            x1, y1, x2, y2 = slot_x[s1], slot_y[s1], slot_x[s2], slot_y[s2]
+            delta = probe(c, c2, x1, y1, x2, y2)
             if delta < 0:
                 ok = True
             elif delta == 0:
                 ok = rand() < 0.5
             else:
-                ok = rand() < math.exp(-delta / t)
+                ok = rand() < exp(-delta / t)
             if ok:
-                commit(c, s1, c2, s2, nets, new_vals)
+                if best is None and delta >= 0:  # leaving the best-seen state
+                    best = cell_slot[:]
+                cell_slot[c] = s2
+                slot_cell[s2] = c
+                for j in cell_nets[c]:
+                    hp[j] = nv[j]
+                if c2 >= 0:
+                    cell_slot[c2] = s1
+                    slot_cell[s1] = c2
+                    for j in cell_nets[c2]:
+                        hp[j] = nv[j]
+                else:
+                    slot_cell[s1] = -1
                 cost += delta
                 accepted += 1
                 if cost < best_cost:
                     best_cost = cost
-                    best = cell_slot[:]
+                    best = None
+            else:
+                px[c] = x1
+                py[c] = y1
+                if c2 >= 0:
+                    px[c2] = x2
+                    py[c2] = y2
+        logger.debug("anneal step %d: T=%.6g, accepted %d of %d, cost %d, best %d",
+                     step, t, accepted, moves_per_temp, cost, best_cost)
         t *= cooling
-        if accepted < max(1, int(min_accept * moves_per_temp)):
+        if accepted < min_accepted:
+            logger.debug("anneal stopped after step %d: %d accepted moves, below %d",
+                         step, accepted, min_accepted)
             break
+    else:
+        logger.debug("anneal stopped: max_temps (%d) reached", max_temps)
 
-    cell_slot[:] = best
+    if best is not None:
+        cell_slot[:] = best
     return best_cost
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routekit import netlist as nl
 
@@ -89,6 +91,20 @@ def test_roundtrip_generated(synth_1024):
     again = nl.parse_netlist(text)
     assert nl.structurally_equal(synth_1024, again)
     assert nl.serialize_netlist(again) == text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cells=st.integers(nl.MIN_GENERATED_CELLS, 400),
+       rent_exponent=st.floats(0.51, 0.99),
+       pins_per_cell=st.floats(2.0, 6.0),
+       sequential_fraction=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_roundtrip_property(cells, rent_exponent, pins_per_cell, sequential_fraction, seed):
+    d = nl.generate_synthetic(nl.SynthesisParams(
+        num_cells=cells, rent_exponent=rent_exponent, avg_pins_per_cell=pins_per_cell,
+        sequential_fraction=sequential_fraction, seed=seed,
+    ))
+    assert nl.parse_netlist(nl.serialize_netlist(d), name=d.name) == d
 
 
 def test_validate_clean_netlist_is_empty():

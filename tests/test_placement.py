@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 
 import pytest
@@ -206,6 +207,52 @@ def test_place_legal_on_random_netlists():
                 assert 0 <= y and y + m.height <= die.height
             checked += 1
     assert checked >= 100
+
+
+def test_place_scores_empty_net_zero():
+    # hpwl() scores a net with no terminals 0; the annealer must agree
+    # rather than fail on it, and place the rest as if it were absent.
+    d = tiny_netlist(3, [(0, 1)])
+    die = pl.size_die(d, FAB2D, 0.6)
+    plain = pl.place(d, FAB2D, die, seed=4)
+    d.nets.append(nl.Net("empty", []))
+    placed = pl.place(d, FAB2D, die, seed=4)
+    assert placed.assignments == plain.assignments
+    assert pl.hpwl(d, placed) == pl.hpwl(d, plain) == 1
+
+
+def anneal_log(caplog, cfg):
+    d = nl.generate_synthetic(nl.SynthesisParams(num_cells=40, seed=3))
+    d = fab.bind_masters(d, FAB2D)
+    die = pl.size_die(d, FAB2D, 0.6)
+    with caplog.at_level(logging.DEBUG, logger="routekit.placement"):
+        placed = pl.place(d, FAB2D, die, seed=1, config=cfg)
+    records = [r for r in caplog.records if r.name == "routekit.placement"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    return pl.hpwl(d, placed), records
+
+
+def test_anneal_logs_start_steps_and_max_temps_stop(caplog):
+    cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=6, min_accept_rate=0.0, cooling=0.5)
+    final, records = anneal_log(caplog, cfg)
+    assert records[0].getMessage().startswith("anneal start: T=")
+    steps = records[1:-1]
+    assert [r.args[0] for r in steps] == list(range(6))
+    temps = [r.args[1] for r in steps]
+    assert temps[0] == records[0].args[0]
+    assert all(b == a * 0.5 for a, b in zip(temps, temps[1:]))
+    assert all(0 <= r.args[2] <= 200 for r in steps)
+    assert steps[-1].args[5] == final  # best-seen cost is the returned HPWL
+    assert records[-1].getMessage() == "anneal stopped: max_temps (6) reached"
+
+
+def test_anneal_logs_acceptance_stop(caplog):
+    cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=50, min_accept_rate=1.0)
+    _, records = anneal_log(caplog, cfg)
+    assert len(records) == 3  # start, one step, stop
+    stop = records[-1].getMessage()
+    assert stop.startswith("anneal stopped after step 0: ")
+    assert stop.endswith("accepted moves, below 200")
 
 
 def test_small_instance_brute_force_optimality():
