@@ -23,6 +23,7 @@ from .globalroute import (
     route,
     terminal_gcells,
 )
+from .flow import JobResult, JobSpec, place_job, route_job, run_job
 from .metrics import BenchmarkReport, PowerParams
 from .netlist import (
     Net,

@@ -158,11 +158,6 @@ class FabricSpec:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def cell_sites(self) -> tuple[int, int]:
-        """Standard-cell footprint in sites (width, height)."""
-        return _CELL_SITES[self.kind]
-
 
 @dataclass(frozen=True)
 class PinDef:

@@ -159,7 +159,7 @@ def build_grid(fabric: FabricSpec, die, gcell_size: int,
 
 
 def terminal_gcells(net, netlist: Netlist, placement: Placement,
-                    graph: RoutingGraph, fabric: FabricSpec) -> list[list[int]]:
+                    graph: RoutingGraph) -> list[list[int]]:
     """Entry nodes for each terminal of a net.
 
     A terminal may enter the grid at any of its pin's access points, so S3DC
@@ -704,16 +704,13 @@ def route(
     the result with an empty edge set.  Deterministic: the result depends
     only on the netlist, the placement, the graph and ``params``.
     """
-    if graph.fabric is None:
-        raise RoutingError("graph was built without a fabric reference")
-    fabric = graph.fabric
     work: list[tuple[str, list[list[int]]]] = []
     skipped: list[str] = []
     for net in netlist.nets:
         if len(net.terminals) < 2:
             skipped.append(net.id)
             continue
-        work.append((net.id, terminal_gcells(net, netlist, placement, graph, fabric)))
+        work.append((net.id, terminal_gcells(net, netlist, placement, graph)))
     if skipped:
         logger.warning("skipping %d dangling net(s): %s", len(skipped), ", ".join(skipped[:5]))
 

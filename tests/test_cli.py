@@ -1,8 +1,9 @@
 import json
+import pickle
 
 import pytest
 
-from routekit import netlist as nl
+from routekit import flow, netlist as nl
 from routekit.cli import main
 
 FAST = ["--moves-per-temp", "500", "--max-temps", "10"]
@@ -224,7 +225,7 @@ def test_config_accepts_int_for_float_and_null_for_nullable(tmp_path):
     out = tmp_path / "out"
     rc = run_cli("run", "--config", cfg, "--netlist", net, "--seed", 1, "-o", out)
     assert rc in (0, 3)
-    assert json.loads((out / "run_meta.json").read_text())["utilization"] == 1.0
+    assert '"utilization": 1.0' in (out / "run_meta.json").read_text()
 
 
 def test_config_rejects_removed_parallel_key(tmp_path, capsys):
@@ -244,7 +245,7 @@ def test_place_then_route_pipeline(tmp_path):
     assert rc == 0
     assert (out / "placement.csv").is_file()
     assert (out / "run_meta.json").is_file()
-    rc = run_cli("route", "--seed", 2, out)
+    rc = run_cli("route", out)
     assert rc in (0, 3)
     assert (out / "routes.txt").is_file()
     assert (out / "congestion_L1.csv").is_file()
@@ -270,3 +271,109 @@ def test_utilization_flag_reaches_die(tmp_path):
     mb = json.loads((tmp_path / "b/run_meta.json").read_text())
     assert ma["die_area_um2"] > mb["die_area_um2"]
     assert ma["utilization"] == 0.6
+
+
+def test_place_then_route_reproduces_run(tmp_path):
+    net = gen_netlist(tmp_path / "n.net", cells=128)
+    opts = ["--fabric", "s3dc", "--netlist", net, "--seed", 4, "--label", "x", *FAST]
+    assert run_cli("run", *opts, "-o", tmp_path / "run") in (0, 3)
+    assert run_cli("place", *opts, "-o", tmp_path / "split") == 0
+    assert run_cli("route", tmp_path / "split") in (0, 3)
+    names = ["placement.csv", "netlist.net", "routes.txt", "layer_ratios.csv"]
+    names += [p.name for p in (tmp_path / "run").glob("congestion_L*.csv")]
+    assert len(names) == 4 + 13
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == \
+            (tmp_path / "run" / name).read_bytes(), name
+
+    spec = flow.JobSpec(fabric="s3dc", netlist=str(net), seed=4, label="x",
+                        moves_per_temp=500, max_temps=10)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert flow.run_job(spec).meta == json.loads((tmp_path / "run/run_meta.json").read_text())
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3", None])
+def test_job_spec_rejects_mistyped_fields(value):
+    with pytest.raises(flow.JobError, match="'gcell'"):
+        flow.JobSpec(gcell=value)
+
+
+def test_job_spec_stores_int_for_float_as_float():
+    assert type(flow.JobSpec(utilization=1).utilization) is float
+
+
+@pytest.mark.parametrize("argv", [
+    ["place", "--gcell", "9", "--netlist", "n.net", "-o", "out"],
+    ["place", "--max-iters", "1", "--netlist", "n.net", "-o", "out"],
+    ["place", "--freq", "5", "--netlist", "n.net", "-o", "out"],
+    ["route", "--fabric", "s3dc", "dir"],
+    ["route", "--cells", "999", "dir"],
+    ["route", "--utilization", "0.1", "dir"],
+    ["route", "--seed", "2", "dir"],
+    ["gen", "--cells", "64", "--fabric", "2d", "-o", "n.net"],
+    ["gen", "--cells", "64", "--utilization", "0.5", "-o", "n.net"],
+    ["gen", "--cells", "64", "--config", "c.json", "-o", "n.net"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _placed_dir(tmp_path):
+    net = gen_netlist(tmp_path / "n.net", cells=64)
+    out = tmp_path / "placed"
+    assert run_cli("place", "--netlist", net, "-o", out, *FAST) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("analyze", lambda m: {"label": "x"}, "missing key 'total_pins'"),
+    ("analyze", lambda m: [1], "expected a JSON object"),
+    ("analyze", lambda m: {**m, "pin_access_layers": "1"}, "'pin_access_layers' must be int"),
+    ("route", lambda m: {k: v for k, v in m.items() if k != "fabric"}, "missing key 'fabric'"),
+    ("route", lambda m: {k: v for k, v in m.items() if k != "die_width"},
+     "missing key 'die_width'"),
+    ("route", lambda m: {**m, "die_height": 2.5}, "'die_height' must be int"),
+])
+def test_malformed_run_meta_exits_2_naming_file_and_key(tmp_path, capsys, command, edit, message):
+    out = _placed_dir(tmp_path)
+    path = out / "run_meta.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run_cli(command, out) == 2
+    err = capsys.readouterr().err
+    assert "run_meta.json" in err and message in err
+
+
+@pytest.mark.parametrize("report, message", [
+    ({"baseline": "2d"}, "missing key 'rows'"),
+    ({"rows": {}}, "'rows' must be list"),
+    ({"rows": [7]}, "rows[0]: expected a JSON object"),
+    ({"rows": [{"label": "2d"}]}, "rows[0]: missing key 'cell_count'"),
+])
+def test_malformed_report_json_exits_2_naming_file_and_key(tmp_path, capsys, report, message):
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    assert run_cli("compare", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "report.json" in err and message in err
+
+
+def test_compare_without_rows_exits_2(tmp_path, capsys):
+    (tmp_path / "report.json").write_text(json.dumps({"rows": []}))
+    assert run_cli("compare", tmp_path) == 2
+    assert "no report rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line", ["c5;1;2", "c5,1,x", "c5,1"])
+def test_route_names_bad_placement_line(tmp_path, capsys, bad_line):
+    out = _placed_dir(tmp_path)
+    path = out / "placement.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("route", out) == 2
+    err = capsys.readouterr().err
+    assert "placement.csv: line 6:" in err and repr(bad_line) in err

@@ -79,7 +79,7 @@ def test_terminal_entries_s3dc_pin_spans_five_layers():
     die = pl.size_die(d, fabric, 0.6)
     placed = pl.random_placement(d, fabric, die, seed=0)
     graph = gr.build_grid(fabric, die, 1)
-    entries = gr.terminal_gcells(d.nets[1], d, placed, graph, fabric)
+    entries = gr.terminal_gcells(d.nets[1], d, placed, graph)
     pin_a_entries = entries[0]  # c1.A
     assert len(pin_a_entries) == 5
     layers = {e // (graph.x * graph.y) for e in pin_a_entries}
@@ -91,7 +91,7 @@ def test_terminal_entries_tmi_pin_b_layer1():
     die = pl.size_die(d, fabric, 0.6)
     placed = pl.random_placement(d, fabric, die, seed=0)
     graph = gr.build_grid(fabric, die, 1)
-    entries = gr.terminal_gcells(d.nets[1], d, placed, graph, fabric)
+    entries = gr.terminal_gcells(d.nets[1], d, placed, graph)
     pin_b_entries = entries[1]  # c2.B
     assert len(pin_b_entries) == 2
     assert all(e // (graph.x * graph.y) == 0 for e in pin_b_entries)
@@ -103,7 +103,7 @@ def test_terminal_entries_2d_single_access_gcell():
     die = Die(24, 24, fabric.site_dim_nm, 0.6)
     placed = pl.Placement({"c0": (3 * 4, 4 * 4), "c1": (0, 0)}, die)
     graph = gr.build_grid(fabric, die, 4)
-    entries = gr.terminal_gcells(d.nets[0], d, placed, graph, fabric)
+    entries = gr.terminal_gcells(d.nets[0], d, placed, graph)
     assert entries[0] == [graph.node_id(3, 4, 0)]
 
 
@@ -114,7 +114,7 @@ def test_terminal_entries_require_placement():
     placed = pl.Placement({"c0": (0, 0)}, die)
     graph = gr.build_grid(fabric, die, 4)
     with pytest.raises(gr.RoutingError, match="c1"):
-        gr.terminal_gcells(d.nets[0], d, placed, graph, fabric)
+        gr.terminal_gcells(d.nets[0], d, placed, graph)
 
 
 def test_terminal_entries_reject_access_above_grid():
@@ -129,7 +129,7 @@ def test_terminal_entries_reject_access_above_grid():
     placed = pl.Placement({"c0": (0, 0), "c1": (3, 3)}, die)
     graph = small_graph()  # two layers
     with pytest.raises(gr.RoutingError, match="layer 3"):
-        gr.terminal_gcells(d.nets[0], d, placed, graph, fabric)
+        gr.terminal_gcells(d.nets[0], d, placed, graph)
 
 
 # --- single-net routing against the BFS oracle
@@ -305,7 +305,7 @@ def test_routed_netlist_trees_are_valid():
     routes, _ = gr.route(design, placed, graph, gr.RouteParams())
     by_id = {r.net_id: r for r in routes}
     for net in design.nets:
-        entries = gr.terminal_gcells(net, design, placed, graph, fabric)
+        entries = gr.terminal_gcells(net, design, placed, graph)
         edges = by_id[net.id].edges
         if not edges:
             continue  # dangling or fully co-located net

@@ -2,8 +2,9 @@
 
 perfbench/tracing.py reads two of the router's DEBUG records: it counts
 rerouted nets from the third argument of "reroute iteration" records and
-stops on the "overflow stagnant" prefix.  perfbench/selftest.py runs the
-benchmark's checks on a tiny design.
+stops on the "overflow stagnant" prefix.  It also times routekit's module
+functions by replacing the module attributes the pipeline calls through.
+perfbench/selftest.py runs the benchmark's checks on a tiny design.
 """
 
 import logging
@@ -11,9 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import routekit.cli
 from routekit import globalroute as gr
+from routekit import netlist as nl
 
-SELFTEST = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SELFTEST = PERFBENCH / "selftest.py"
 
 
 class _Records(logging.Handler):
@@ -55,3 +59,27 @@ def test_router_log_records_match_tracing():
         assert all(type(a) is int for a in record.args)
         assert record.args == (n, 1, 1)  # (iteration, overflowed edges, nets)
     assert any(r.msg.startswith("overflow stagnant") for r in handler.records)
+
+
+def test_tracer_sees_every_wrapped_function(tmp_path):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    net = tmp_path / "n.net"
+    net.write_text(nl.serialize_netlist(nl.generate_synthetic(
+        nl.SynthesisParams(num_cells=64, seed=5))))
+    tracer = tracing.Tracer(routekit)
+    tracer.install()
+    try:
+        assert tracer.call_main(["run", "--netlist", str(net), "--fabric", "tmi", "--seed", "1",
+                                 "--moves-per-temp", "300", "-o", str(tmp_path / "run")]) in (0, 3)
+        assert tracer.call_main(["analyze", str(tmp_path / "run"),
+                                 "-o", str(tmp_path / "analyze.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    values = tracer.metrics(flow_s=0.0)
+    for module, name, metric in tracing.WRAPPED:
+        assert values[metric] > 0, f"{module}.{name} was not called through its module"
+    assert 0 < values["placement.hpwl_ratio"] <= 1
