@@ -125,22 +125,49 @@ def cmd_place(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_placement(csv_path: Path, design: nl.Netlist, die: pl.Die) -> dict:
+    """The cell origins in ``csv_path``: every design cell on exactly one
+    line, its footprint inside the die and on sites that no other cell
+    covers.  One pass marks each cell's sites in an occupancy grid."""
+    masters = {cell.id: design.masters[cell.master] for cell in design.cells}
+    owner: list[str | None] = [None] * die.area_sites
+    assignments = {}
+    for lineno, line in enumerate(csv_path.read_text().splitlines()[1:], start=2):
+        where = f"{csv_path}: line {lineno}:"
+        try:
+            cid, x, y = line.split(",")
+            x, y = int(x), int(y)
+        except ValueError:
+            raise flow.JobError(f"{where} expected 'cell,x,y' with integer x and y, "
+                                f"got {line!r}") from None
+        if cid not in masters:
+            raise flow.JobError(f"{where} unknown cell {cid!r}")
+        if cid in assignments:
+            raise flow.JobError(f"{where} cell {cid!r} is placed twice")
+        m = masters[cid]
+        if x < 0 or y < 0 or x + m.width > die.width or y + m.height > die.height:
+            raise flow.JobError(f"{where} cell {cid!r} at ({x},{y}) does not fit in the "
+                                f"{die.width}x{die.height} die")
+        for row in range(y * die.width, (y + m.height) * die.width, die.width):
+            for site in range(row + x, row + x + m.width):
+                if owner[site] is not None:
+                    raise flow.JobError(f"{where} cell {cid!r} overlaps cell {owner[site]!r}")
+                owner[site] = cid
+        assignments[cid] = (x, y)
+    for cid in masters:
+        if cid not in assignments:
+            raise flow.JobError(f"{csv_path}: cell {cid!r} has no line")
+    return assignments
+
+
 def _load_placed(run_dir: Path) -> flow.PlacedJob:
     """The PlacedJob that 'place' wrote to ``run_dir``."""
     meta = _read_json(run_dir / "run_meta.json", {"fabric": str, "die_width": int,
                                                   "die_height": int, "utilization": float})
-    csv_path = run_dir / "placement.csv"
     fabric = flow.load_fabric(meta["fabric"])
     design = fab.bind_masters(flow.read_netlist(run_dir / "netlist.net"), fabric)
     die = pl.Die(meta["die_width"], meta["die_height"], fabric.site_dim_nm, meta["utilization"])
-    assignments = {}
-    for lineno, line in enumerate(csv_path.read_text().splitlines()[1:], start=2):
-        try:
-            cid, x, y = line.split(",")
-            assignments[cid] = (int(x), int(y))
-        except ValueError:
-            raise flow.JobError(f"{csv_path}: line {lineno}: expected 'cell,x,y' with "
-                                f"integer x and y, got {line!r}") from None
+    assignments = _read_placement(run_dir / "placement.csv", design, die)
     return flow.PlacedJob(fabric, design, die, pl.Placement(assignments, die), meta)
 
 

@@ -68,14 +68,6 @@ NAND3_ACCESS_COUNTS = {
 }
 
 
-def _footprint_scale(kind: FabricKind) -> float:
-    w, h = _CELL_SITES[kind]
-    w0, h0 = _CELL_SITES[FabricKind.PLANAR_2D]
-    s = _SITE_DIM_NM[kind]
-    s0 = _SITE_DIM_NM[FabricKind.PLANAR_2D]
-    return (w * h * s * s) / (w0 * h0 * s0 * s0)
-
-
 class FabricConfigError(ValueError):
     """Raised for malformed fabric config text or inconsistent specs."""
 
@@ -125,10 +117,7 @@ class FabricSpec:
 
     kind: FabricKind
     layers: tuple[RoutingLayer, ...]
-    pin_access_layers: int  # N: number of layers carrying pin accesses
-    footprint_scale: float  # cell area relative to the planar baseline
     supply_voltage: float
-    via_stack_exclusive: bool  # one signal per via stack (coaxial hop rule)
     site_dim_nm: float
     access_layer_ids: tuple[int, ...]
     cell_energy: dict[str, CellEnergyEntry] = field(default_factory=dict)
@@ -136,27 +125,40 @@ class FabricSpec:
     def __post_init__(self):
         for i, layer in enumerate(self.layers, start=1):
             if layer.index != i:
-                raise FabricConfigError(
-                    f"layer indices must be contiguous from 1; found {layer.index} at position {i}"
-                )
-        if self.pin_access_layers < 1:
-            raise FabricConfigError("pin_access_layers must be >= 1")
+                raise FabricConfigError(f"layer {layer.index} breaks contiguity: expected layer {i}")
+        if not self.access_layer_ids:
+            raise FabricConfigError("a fabric needs at least one pin-access layer")
         if self.kind in (FabricKind.PLANAR_2D, FabricKind.TMI) and self.pin_access_layers != 1:
             raise FabricConfigError(f"{self.kind.value} fabric requires pin_access_layers == 1")
-        if self.kind is FabricKind.S3DC and not self.via_stack_exclusive:
-            raise FabricConfigError("s3dc fabric requires exclusive via stacks")
-        if len(self.access_layer_ids) != self.pin_access_layers:
-            raise FabricConfigError("access_layer_ids must list exactly pin_access_layers layers")
         top = len(self.layers)
         for lid in self.access_layer_ids:
             if not 1 <= lid <= top:
                 raise FabricConfigError(f"access layer {lid} outside stack of {top} layers")
-        if self.supply_voltage <= 0 or self.site_dim_nm <= 0 or self.footprint_scale <= 0:
-            raise FabricConfigError("supply_voltage, site_dim_nm, footprint_scale must be positive")
+        if self.supply_voltage <= 0 or self.site_dim_nm <= 0:
+            raise FabricConfigError("supply_voltage and site_dim_nm must be positive")
 
     @property
     def num_layers(self) -> int:
         return len(self.layers)
+
+    @property
+    def pin_access_layers(self) -> int:
+        """N: the number of layers carrying pin accesses."""
+        return len(self.access_layer_ids)
+
+    @property
+    def via_stack_exclusive(self) -> bool:
+        """One signal per via stack (the coaxial hop rule of S3DC)."""
+        return self.kind is FabricKind.S3DC
+
+    @property
+    def footprint_scale(self) -> float:
+        """Cell area relative to a planar cell on the planar site."""
+        w, h = _CELL_SITES[self.kind]
+        w0, h0 = _CELL_SITES[FabricKind.PLANAR_2D]
+        s = self.site_dim_nm
+        s0 = _SITE_DIM_NM[FabricKind.PLANAR_2D]
+        return (w * h * s * s) / (w0 * h0 * s0 * s0)
 
 
 @dataclass(frozen=True)
@@ -216,30 +218,27 @@ def normalize_kind(token: str | FabricKind) -> FabricKind:
         raise FabricConfigError(f"unknown fabric kind: {token!r}") from None
 
 
+def _default_layer(kind: FabricKind, index: int) -> RoutingLayer:
+    """Layer ``index`` of a builtin stack: odd layers run 'h', even layers 'v'."""
+    return RoutingLayer(
+        index=index,
+        direction="h" if index % 2 == 1 else "v",
+        pitch_nm=_TRACK_PITCH_NM[kind],
+        capacity=DEFAULT_EDGE_CAPACITY,
+        cap_per_um=DEFAULT_CAP_FF_PER_UM,
+        res_per_um=DEFAULT_RES_OHM_PER_UM,
+    )
+
+
 def builtin_fabric(kind: str | FabricKind) -> FabricSpec:
     """Default FabricSpec for a technology; same kind always yields an equal spec."""
     kind = normalize_kind(kind)
-    layers = tuple(
-        RoutingLayer(
-            index=i,
-            direction="h" if i % 2 == 1 else "v",
-            pitch_nm=_TRACK_PITCH_NM[kind],
-            capacity=DEFAULT_EDGE_CAPACITY,
-            cap_per_um=DEFAULT_CAP_FF_PER_UM,
-            res_per_um=DEFAULT_RES_OHM_PER_UM,
-        )
-        for i in range(1, _LAYER_COUNT[kind] + 1)
-    )
-    access_ids = _ACCESS_LAYER_IDS[kind]
     return FabricSpec(
         kind=kind,
-        layers=layers,
-        pin_access_layers=len(access_ids),
-        footprint_scale=_footprint_scale(kind),
+        layers=tuple(_default_layer(kind, i) for i in range(1, _LAYER_COUNT[kind] + 1)),
         supply_voltage=DEFAULT_SUPPLY_V,
-        via_stack_exclusive=(kind is FabricKind.S3DC),
         site_dim_nm=_SITE_DIM_NM[kind],
-        access_layer_ids=access_ids,
+        access_layer_ids=_ACCESS_LAYER_IDS[kind],
     )
 
 
@@ -331,14 +330,16 @@ def load_fabric(text: str) -> FabricSpec:
 
     Unspecified fields fall back to the builtin defaults for the declared
     kind.  ``layer`` lines may partially override an existing layer or append
-    the next index; gaps are rejected.
+    the next index; gaps are rejected.  ``pin_layers`` states only N (the
+    kind's N by default): ``access_layers`` must list exactly N layers, and
+    without it the access layers are N consecutive layers from the kind's
+    lowest one.  The cell footprint follows ``site``.
     """
     kind = None
     layer_overrides: dict[int, dict[str, float | str]] = {}
     pin_layers = None
     access_ids = None
-    vdd = None
-    site = None
+    changes: dict[str, float] = {}
     energy: dict[str, CellEnergyEntry] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -376,9 +377,9 @@ def load_fabric(text: str) -> FabricSpec:
             elif key == "access_layers":
                 access_ids = tuple(int(t) for t in toks[1:])
             elif key == "vdd":
-                vdd = float(toks[1])
+                changes["supply_voltage"] = float(toks[1])
             elif key == "site":
-                site = float(toks[1])
+                changes["site_dim_nm"] = float(toks[1])
             elif key == "cellpower":
                 energy[toks[1]] = CellEnergyEntry(
                     master=toks[1],
@@ -398,38 +399,18 @@ def load_fabric(text: str) -> FabricSpec:
 
     base = builtin_fabric(kind)
     layers = {layer.index: layer for layer in base.layers}
-    for idx in sorted(layer_overrides):
-        if idx < 1 or idx > max(layers) + 1:
-            raise FabricConfigError(
-                f"layer {idx} breaks contiguity (stack currently ends at {max(layers)})"
-            )
-        current = layers.get(idx)
-        if current is None:
-            current = RoutingLayer(
-                index=idx,
-                direction="h" if idx % 2 == 1 else "v",
-                pitch_nm=_TRACK_PITCH_NM[kind],
-                capacity=DEFAULT_EDGE_CAPACITY,
-                cap_per_um=DEFAULT_CAP_FF_PER_UM,
-                res_per_um=DEFAULT_RES_OHM_PER_UM,
-            )
-        layers[idx] = replace(current, **layer_overrides[idx])
-
-    n = pin_layers if pin_layers is not None else base.pin_access_layers
+    for idx, ov in layer_overrides.items():
+        layers[idx] = replace(layers.get(idx) or _default_layer(kind, idx), **ov)
+    n = base.pin_access_layers if pin_layers is None else pin_layers
     if access_ids is None:
-        if n == base.pin_access_layers:
-            access_ids = base.access_layer_ids
-        else:
-            start = base.access_layer_ids[0]
-            access_ids = tuple(range(start, start + n))
-    return FabricSpec(
-        kind=kind,
+        start = base.access_layer_ids[0]
+        access_ids = tuple(range(start, start + n))
+    elif len(access_ids) != n:
+        raise FabricConfigError(f"access_layers lists {len(access_ids)} layers, not N = {n}")
+    return replace(
+        base,
         layers=tuple(layers[i] for i in sorted(layers)),
-        pin_access_layers=n,
-        footprint_scale=base.footprint_scale,
-        supply_voltage=vdd if vdd is not None else base.supply_voltage,
-        via_stack_exclusive=base.via_stack_exclusive,
-        site_dim_nm=site if site is not None else base.site_dim_nm,
         access_layer_ids=access_ids,
         cell_energy=energy,
+        **changes,
     )

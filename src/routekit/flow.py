@@ -114,11 +114,12 @@ def read_netlist(path: Path) -> nl.Netlist:
 
 
 def load_design(spec: JobSpec) -> nl.Netlist:
-    """The netlist file ``spec.netlist`` if set, else a generated netlist."""
+    """The netlist file ``spec.netlist`` or a netlist of ``spec.cells``
+    generated cells; exactly one of the two must be set."""
+    if bool(spec.netlist) == (spec.cells is not None):
+        raise JobError("provide exactly one netlist source: --netlist or --cells")
     if spec.netlist:
         return read_netlist(Path(spec.netlist))
-    if spec.cells is None:
-        raise JobError("provide exactly one netlist source: --netlist or --cells")
     return nl.generate_synthetic(nl.SynthesisParams(
         num_cells=spec.cells, rent_exponent=spec.rent, avg_pins_per_cell=spec.pins,
         sequential_fraction=spec.seq_fraction, seed=spec.seed,

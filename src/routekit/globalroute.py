@@ -138,23 +138,18 @@ class RoutingGraph:
         return self.gcell_size * self.site_dim_nm / 1000.0
 
 
-def build_grid(fabric: FabricSpec, die, gcell_size: int,
-               via_capacity: int | None = None) -> RoutingGraph:
+def build_grid(fabric: FabricSpec, die, gcell_size: int) -> RoutingGraph:
     """Routing lattice over a die: ``ceil(sites / gcell_size)`` gcells per
-    axis, one graph layer per fabric routing layer.  Via capacity defaults
-    to 1 per gcell for exclusive via stacks and 4 otherwise."""
+    axis, one graph layer per fabric routing layer.  Via capacity is 1 per
+    gcell for exclusive via stacks and 4 otherwise."""
     if gcell_size < 1:
         raise ValueError("gcell_size must be >= 1")
-    x = -(-die.width // gcell_size)
-    y = -(-die.height // gcell_size)
-    if via_capacity is None:
-        via_capacity = 1 if fabric.via_stack_exclusive else DEFAULT_VIA_CAPACITY
     return RoutingGraph(
-        x=x, y=y, layers=fabric.num_layers, gcell_size=gcell_size,
-        site_dim_nm=fabric.site_dim_nm,
+        x=-(-die.width // gcell_size), y=-(-die.height // gcell_size),
+        layers=fabric.num_layers, gcell_size=gcell_size, site_dim_nm=fabric.site_dim_nm,
         layer_dirs=tuple(layer.direction for layer in fabric.layers),
         layer_capacities=tuple(layer.capacity for layer in fabric.layers),
-        via_capacity=via_capacity, fabric=fabric,
+        via_capacity=1 if fabric.via_stack_exclusive else DEFAULT_VIA_CAPACITY, fabric=fabric,
     )
 
 
@@ -165,7 +160,8 @@ def terminal_gcells(net, netlist: Netlist, placement: Placement,
     A terminal may enter the grid at any of its pin's access points, so S3DC
     pins offer one node per access layer while planar/monolithic pins sit on
     layer 1 only.  Duplicate (gcell, layer) entries collapse.  An access
-    layer above the grid's top layer is an error.
+    layer above the grid's top layer is an error.  Every cell must lie
+    inside the die, so that each access falls in a gcell of the grid.
     """
     g = graph.gcell_size
     out: list[list[int]] = []
@@ -181,9 +177,7 @@ def terminal_gcells(net, netlist: Netlist, placement: Placement,
                     f"net {net.id!r}: pin {cid}.{pin_name} accesses layer {layer}, "
                     f"above the grid's {graph.layers} layers"
                 )
-            gx = min((ox + dx) // g, graph.x - 1)
-            gy = min((oy + dy) // g, graph.y - 1)
-            entries.setdefault(graph.node_id(gx, gy, layer - 1), None)
+            entries.setdefault(graph.node_id((ox + dx) // g, (oy + dy) // g, layer - 1), None)
         out.append(list(entries))
     return out
 
@@ -192,6 +186,13 @@ def terminal_gcells(net, netlist: Netlist, placement: Placement,
 class NetRoute:
     net_id: str
     edges: tuple[int, ...]
+
+
+def _edge_ratio(demand, capacity) -> np.ndarray:
+    """Demand over capacity, elementwise: 0 where both are 0, inf where
+    only the capacity is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(demand > 0, np.true_divide(demand, capacity), 0.0)
 
 
 @dataclass
@@ -210,18 +211,13 @@ class CongestionMap:
 
     def layer_max_ratio(self, layer0: int) -> float:
         dem = self.layer_demand[layer0]
-        cap = self.layer_capacity[layer0]
         if dem.size == 0:
             return 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dem > 0, dem / np.maximum(cap, 1e-300), 0.0)
-        return float(ratio.max())
+        return float(_edge_ratio(dem, self.layer_capacity[layer0]).max())
 
     def layer_aggregate_ratio(self, layer0: int) -> float:
-        cap = float(self.layer_capacity[layer0].sum())
-        if cap == 0:
-            return 0.0 if self.layer_demand[layer0].sum() == 0 else float("inf")
-        return float(self.layer_demand[layer0].sum()) / cap
+        return float(_edge_ratio(self.layer_demand[layer0].sum(),
+                                self.layer_capacity[layer0].sum()))
 
     @property
     def overflow_edge_count(self) -> int:
@@ -727,18 +723,11 @@ def congestion_csv(cmap: CongestionMap, layer: int) -> str:
     """
     li = layer - 1
     lines = ["layer,x,y,dir,demand,capacity,ratio"]
-    dem = cmap.layer_demand[li]
-    cap = cmap.layer_capacity[li]
-    d = cmap.layer_dirs[li]
-    for (gy, gx), v in np.ndenumerate(dem):
-        c = int(cap[gy, gx])
-        ratio = (v / c) if c else (0.0 if v == 0 else float("inf"))
-        lines.append(f"{layer},{gx},{gy},{d},{int(v)},{c},{ratio:.6g}")
+    grids = [(cmap.layer_dirs[li], cmap.layer_demand[li], cmap.layer_capacity[li])]
     if li < cmap.via_demand.shape[0]:
-        vd = cmap.via_demand[li]
-        vc = cmap.via_capacity[li]
-        for (gy, gx), v in np.ndenumerate(vd):
-            c = int(vc[gy, gx])
-            ratio = (v / c) if c else (0.0 if v == 0 else float("inf"))
-            lines.append(f"{layer},{gx},{gy},via,{int(v)},{c},{ratio:.6g}")
+        grids.append(("via", cmap.via_demand[li], cmap.via_capacity[li]))
+    for d, dem, cap in grids:
+        ratio = _edge_ratio(dem, cap)
+        for (gy, gx), v in np.ndenumerate(dem):
+            lines.append(f"{layer},{gx},{gy},{d},{int(v)},{int(cap[gy, gx])},{ratio[gy, gx]:.6g}")
     return "\n".join(lines) + "\n"

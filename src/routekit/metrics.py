@@ -35,40 +35,27 @@ class PowerParams:
             raise MetricsError("switching activity must lie in (0, 1]")
 
 
-def total_wirelength_mm(routes: list[NetRoute], graph: RoutingGraph,
-                        via_length_um: float = 0.0) -> float:
-    """Sum of routed edge lengths: planar edges span one gcell, via edges
-    contribute the configured via length (0 by default)."""
-    planar = 0
-    vias = 0
-    for route in routes:
-        for e in route.edges:
-            if e >= graph.via_base:
-                vias += 1
-            else:
-                planar += 1
-    return (planar * graph.gcell_um + vias * via_length_um) / 1000.0
+def total_wirelength_mm(routes: list[NetRoute], graph: RoutingGraph) -> float:
+    """Sum of routed edge lengths: planar edges span one gcell, and via
+    edges have zero length, as the router models them."""
+    planar = sum(e < graph.via_base for route in routes for e in route.edges)
+    return planar * graph.gcell_um / 1000.0
 
 
-def _edge_cap_ff(graph: RoutingGraph, eid: int, via_length_um: float) -> float:
-    if graph.fabric is None:
-        raise MetricsError("graph carries no fabric; wire RC is unknown")
-    kind, li, _, _ = graph.edge_info(eid)
-    if kind == "via":
-        return via_length_um * graph.fabric.layers[li].cap_per_um
-    return graph.gcell_um * graph.fabric.layers[li].cap_per_um
-
-
-def wire_power_mw(routes: list[NetRoute], graph: RoutingGraph, power: PowerParams,
-                  via_length_um: float = 0.0) -> float:
-    """Switching power of routed interconnect in mW.
+def wire_power_mw(routes: list[NetRoute], graph: RoutingGraph, power: PowerParams) -> float:
+    """Switching power of routed interconnect in mW.  Vias have zero length,
+    so only planar edges add capacitance.
 
     Linear in activity and frequency, quadratic in supply voltage.
     """
     total_cap_ff = 0.0
     for route in routes:
         for e in route.edges:
-            total_cap_ff += _edge_cap_ff(graph, e, via_length_um)
+            if graph.fabric is None:
+                raise MetricsError("graph carries no fabric; wire RC is unknown")
+            kind, li, _, _ = graph.edge_info(e)
+            if kind != "via":
+                total_cap_ff += graph.gcell_um * graph.fabric.layers[li].cap_per_um
     v = power.supply_voltage
     return power.switching_activity * power.clock_freq_ghz * v * v * total_cap_ff * 1e-3
 
@@ -101,7 +88,7 @@ def cell_powers_mw(netlist: Netlist, energy_table: dict[str, CellEnergyEntry],
     return pin_mw, internal_mw
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkReport:
     """One row of a cross-technology comparison table."""
 
@@ -113,9 +100,6 @@ class BenchmarkReport:
     pin_power_mw: float
     internal_power_mw: float
     footprint_um2: float
-    footprint_norm: float = 1.0
-    density_norm: float = 1.0
-    ppa_norm: float = 1.0
 
     @property
     def total_power_mw(self) -> float:
@@ -138,19 +122,6 @@ def ppa(rows: list[BenchmarkReport], baseline_label: str) -> dict[str, float]:
     }
 
 
-def normalize_rows(rows: list[BenchmarkReport], baseline_label: str) -> None:
-    """Fill footprint_norm, density_norm, and ppa_norm against the baseline."""
-    by_label = {r.label: r for r in rows}
-    if baseline_label not in by_label:
-        raise MetricsError(f"baseline {baseline_label!r} not among report rows")
-    base = by_label[baseline_label]
-    fom = ppa(rows, baseline_label)
-    for r in rows:
-        r.footprint_norm = r.footprint_um2 / base.footprint_um2
-        r.density_norm = base.footprint_um2 / r.footprint_um2
-        r.ppa_norm = fom[r.label]
-
-
 def percent_delta(value: float, base: float) -> int:
     """Signed integer percent change vs. a baseline value."""
     if base == 0:
@@ -169,8 +140,9 @@ _DELTA_COLUMNS = (
 
 
 def report_records(rows: list[BenchmarkReport], baseline_label: str) -> list[dict]:
-    """Rows as plain records with normalized columns and percent deltas."""
-    normalize_rows(rows, baseline_label)
+    """Rows as plain records with columns normalized against the baseline
+    row (footprint, density = 1 / footprint, PPA) and percent deltas."""
+    fom = ppa(rows, baseline_label)
     base = {r.label: r for r in rows}[baseline_label]
     records = []
     for r in rows:
@@ -184,9 +156,9 @@ def report_records(rows: list[BenchmarkReport], baseline_label: str) -> list[dic
             "internal_power_mw": r.internal_power_mw,
             "total_power_mw": r.total_power_mw,
             "footprint_um2": r.footprint_um2,
-            "footprint_norm": r.footprint_norm,
-            "density_norm": r.density_norm,
-            "ppa_norm": r.ppa_norm,
+            "footprint_norm": r.footprint_um2 / base.footprint_um2,
+            "density_norm": base.footprint_um2 / r.footprint_um2,
+            "ppa_norm": fom[r.label],
         }
         for col in _DELTA_COLUMNS:
             rec[f"{col}_delta_pct"] = percent_delta(rec[col], getattr(base, col))

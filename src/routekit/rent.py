@@ -170,31 +170,11 @@ def _external_counts(net_members: list[list[int]], labels: list[int], nblocks: i
     return ext
 
 
-def _best_bisection(sub: nx.Graph, rng: random.Random, kl_iter: int, restarts: int):
-    best = None
-    best_cut = None
-    for _ in range(max(1, restarts)):
-        part = nx.community.kernighan_lin_bisection(
-            sub, max_iter=kl_iter, weight="weight", seed=rng.randrange(2**32)
-        )
-        cut = nx.cut_size(sub, part[0], part[1], weight="weight")
-        if best_cut is None or cut < best_cut:
-            best_cut = cut
-            best = part
-    return best
-
-
-def fit_rent_exponent(
-    netlist,
-    min_block: int = 32,
-    seed: int = 0,
-    kl_iter: int = 10,
-    restarts: int = 1,
-) -> RentFit:
+def fit_rent_exponent(netlist, min_block: int = 32, seed: int = 0) -> RentFit:
     """Measure the Rent exponent of a netlist.
 
-    Blocks are split recursively with Kernighan-Lin min-cut bisection on the
-    clique-expanded connectivity graph (best of ``restarts`` seeded starts).
+    Blocks are split recursively with Kernighan-Lin min-cut bisection (10
+    passes from one seeded start) on the clique-expanded connectivity graph.
     At each level the mean block size G and mean count of boundary-crossing
     nets E are recorded, and r is the slope of the least-squares line
     through (log G, log E).  Deterministic for a fixed seed.
@@ -213,7 +193,9 @@ def fit_rent_exponent(
         nxt: list[list[int]] = []
         for block in blocks:
             sub = graph.subgraph(block)
-            half_a, half_b = _best_bisection(sub, rng, kl_iter, restarts)
+            half_a, half_b = nx.community.kernighan_lin_bisection(
+                sub, max_iter=10, weight="weight", seed=rng.randrange(2**32)
+            )
             nxt.append(sorted(half_a))
             nxt.append(sorted(half_b))
         blocks = nxt

@@ -377,3 +377,54 @@ def test_route_names_bad_placement_line(tmp_path, capsys, bad_line):
     assert run_cli("route", out) == 2
     err = capsys.readouterr().err
     assert "placement.csv: line 6:" in err and repr(bad_line) in err
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--cells", 500], None),
+    ([], {"cells": 500}),
+])
+def test_run_rejects_two_netlist_sources(tmp_path, capsys, flags, config):
+    net = gen_netlist(tmp_path / "n.net", cells=64)
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        flags = [*flags, "--config", tmp_path / "c.json"]
+    capsys.readouterr()
+    assert run_cli("run", "--netlist", net, *flags, "-o", tmp_path / "out", *FAST) == 2
+    assert "provide exactly one netlist source" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _set_line(lines, i, cell=None, xy=None):
+    cid, x, y = lines[i].split(",")
+    lines[i] = f"{cell or cid},{xy or f'{x},{y}'}"
+
+
+@pytest.mark.parametrize("edit, lineno, message", [
+    (lambda ls: _set_line(ls, 5, xy="100000,100000"), 6, "does not fit in the"),
+    (lambda ls: _set_line(ls, 5, xy="-40,0"), 6, "does not fit in the"),
+    (lambda ls: ls.append(ls[5]), 66, "is placed twice"),
+    (lambda ls: _set_line(ls, 5, cell="ghost"), 6, "unknown cell 'ghost'"),
+    (lambda ls: _set_line(ls, 6, xy=ls[5].split(",", 1)[1]), 7, "overlaps cell"),
+], ids=["out-of-die", "negative", "duplicate", "unknown", "overlap"])
+def test_route_rejects_inconsistent_placement(tmp_path, capsys, edit, lineno, message):
+    out = _placed_dir(tmp_path)
+    path = out / "placement.csv"
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("route", out) == 2
+    err = capsys.readouterr().err
+    cid = lines[lineno - 1].split(",")[0]
+    assert f"placement.csv: line {lineno}:" in err and repr(cid) in err and message in err
+
+
+def test_route_rejects_missing_placement_line(tmp_path, capsys):
+    out = _placed_dir(tmp_path)
+    path = out / "placement.csv"
+    lines = path.read_text().splitlines()
+    cid = lines.pop(5).split(",")[0]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("route", out) == 2
+    assert f"placement.csv: cell {cid!r} has no line" in capsys.readouterr().err

@@ -31,6 +31,18 @@ def test_builtin_s3dc_defaults():
     assert spec.footprint_scale * spec.pin_access_layers > 0.5
 
 
+@pytest.mark.parametrize("kind, scale, n, exclusive", [
+    ("2d", 1.0, 1, False),
+    ("tmi", 0.5, 1, False),
+    ("s3dc", 0.1111111111111111, 5, True),
+])
+def test_builtin_derived_values(kind, scale, n, exclusive):
+    spec = fab.builtin_fabric(kind)
+    assert spec.footprint_scale == scale
+    assert spec.pin_access_layers == n
+    assert spec.via_stack_exclusive is exclusive
+
+
 def test_builtin_is_referentially_transparent():
     assert fab.builtin_fabric("s3dc") == fab.builtin_fabric("s3dc")
     assert fab.builtin_fabric("2d") == fab.builtin_fabric(fab.FabricKind.PLANAR_2D)
@@ -193,6 +205,18 @@ def test_load_vdd_and_site():
     spec = fab.load_fabric("kind tmi\nvdd 0.72\nsite 80\n")
     assert spec.supply_voltage == pytest.approx(0.72)
     assert spec.site_dim_nm == pytest.approx(80)
+
+
+def test_load_site_scales_footprint():
+    assert fab.load_fabric("kind tmi\nsite 80\n").footprint_scale == 8 * 80**2 / (16 * 90**2)
+
+
+def test_load_pin_layers_must_match_access_layers():
+    spec = fab.load_fabric("kind s3dc\npin_layers 3\n")
+    assert spec.access_layer_ids == (2, 3, 4)
+    assert spec.pin_access_layers == 3
+    with pytest.raises(fab.FabricConfigError, match="lists 2 layers, not N = 3"):
+        fab.load_fabric("kind s3dc\npin_layers 3\naccess_layers 2 3\n")
 
 
 def test_load_custom_access_layers():

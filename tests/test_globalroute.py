@@ -383,6 +383,21 @@ def test_via_overflow_flags_congested():
     assert cmap.congested is True
 
 
+def test_zero_capacity_edge_ratio_agrees_everywhere():
+    graph = gr.RoutingGraph(3, 1, 2, 1, 100.0, ("h", "v"), (0, 10), via_capacity=1)
+    graph.demand[0] = 1
+    cmap = gr.build_congestion_map(graph)
+    assert cmap.layer_max_ratio(0) == float("inf")
+    assert cmap.layer_aggregate_ratio(0) == float("inf")
+    assert gr.demand_resource_ratios(cmap)[0].max_edge_ratio == float("inf")
+    lines = gr.congestion_csv(cmap, 1).splitlines()
+    assert "1,0,0,h,1,0,inf" in lines
+    assert "1,1,0,h,0,0,0" in lines  # no demand on no capacity reads 0
+    graph.demand[0] = 0
+    cmap = gr.build_congestion_map(graph)
+    assert cmap.layer_max_ratio(0) == cmap.layer_aggregate_ratio(0) == 0.0
+
+
 def test_congestion_csv_shape():
     graph = small_graph(x=3, y=2, layers=2, caps=(5, 5))
     graph.demand[graph.planar_edge(0, 0, 0)] = 2

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -35,7 +36,6 @@ def test_wirelength_vias_default_zero_length():
     graph = graph_1um_gcells()
     routes = [gr.NetRoute("n0", (graph.via_edge(0, 0, 0),))]
     assert metrics.total_wirelength_mm(routes, graph) == 0.0
-    assert metrics.total_wirelength_mm(routes, graph, via_length_um=0.5) == pytest.approx(5e-4)
 
 
 def test_wire_power_hand_value():
@@ -172,6 +172,14 @@ def test_report_density_is_reciprocal_footprint():
     recs = metrics.report_records(rows, "base")
     assert recs[1]["footprint_norm"] == pytest.approx(0.1)
     assert recs[1]["density_norm"] == pytest.approx(10.0)
+
+
+def test_emit_report_leaves_rows_unchanged():
+    rows = [make_row("base"), make_row("x", wire=0.5, footprint=40.0, freq=1.2)]
+    before = copy.deepcopy(rows)
+    metrics.emit_report_csv(rows, "x")
+    metrics.emit_report_json(rows, "x")
+    assert rows == before
 
 
 def test_csv_and_json_encode_identical_values():
