@@ -42,12 +42,10 @@ _KIND_ALIASES = {
 DEFAULT_EDGE_CAPACITY = 10
 DEFAULT_VIA_CAPACITY = 4
 DEFAULT_CAP_FF_PER_UM = 0.2
-DEFAULT_RES_OHM_PER_UM = 2.0
 DEFAULT_SUPPLY_V = 0.8
 
 _LAYER_COUNT = {FabricKind.PLANAR_2D: 8, FabricKind.TMI: 8, FabricKind.S3DC: 13}
 _SITE_DIM_NM = {FabricKind.PLANAR_2D: 90.0, FabricKind.TMI: 90.0, FabricKind.S3DC: 40.0}
-_TRACK_PITCH_NM = {FabricKind.PLANAR_2D: 45.0, FabricKind.TMI: 45.0, FabricKind.S3DC: 20.0}
 _CELL_SITES = {FabricKind.PLANAR_2D: (8, 2), FabricKind.TMI: (8, 1), FabricKind.S3DC: (3, 3)}
 _ACCESS_LAYER_IDS = {
     FabricKind.PLANAR_2D: (1,),
@@ -78,18 +76,14 @@ class RoutingLayer:
 
     index: int
     direction: str  # 'h' or 'v' preferred routing direction
-    pitch_nm: float
     capacity: int  # routing tracks per gcell edge; 0 blocks the layer
     cap_per_um: float  # fF/um
-    res_per_um: float  # ohm/um
 
     def __post_init__(self):
         if self.index < 1:
             raise FabricConfigError(f"layer index must be >= 1, got {self.index}")
         if self.direction not in ("h", "v"):
             raise FabricConfigError(f"layer {self.index}: direction must be 'h' or 'v'")
-        if self.pitch_nm <= 0:
-            raise FabricConfigError(f"layer {self.index}: pitch must be positive")
         if self.capacity < 0:
             raise FabricConfigError(f"layer {self.index}: negative capacity")
 
@@ -101,14 +95,13 @@ class CellEnergyEntry:
     master: str
     internal_fj: float  # internal energy per output toggle
     pin_cap_ff: float  # capacitance of one input pin
-    drive_res_ohm: float
 
     def __post_init__(self):
-        if min(self.internal_fj, self.pin_cap_ff, self.drive_res_ohm) < 0:
+        if min(self.internal_fj, self.pin_cap_ff) < 0:
             raise FabricConfigError(f"cellpower {self.master}: values must be >= 0")
 
 
-DEFAULT_CELL_ENERGY = CellEnergyEntry("default", internal_fj=1.0, pin_cap_ff=0.1, drive_res_ohm=1000.0)
+DEFAULT_CELL_ENERGY = CellEnergyEntry("default", internal_fj=1.0, pin_cap_ff=0.1)
 
 
 @dataclass(frozen=True)
@@ -218,15 +211,13 @@ def normalize_kind(token: str | FabricKind) -> FabricKind:
         raise FabricConfigError(f"unknown fabric kind: {token!r}") from None
 
 
-def _default_layer(kind: FabricKind, index: int) -> RoutingLayer:
+def _default_layer(index: int) -> RoutingLayer:
     """Layer ``index`` of a builtin stack: odd layers run 'h', even layers 'v'."""
     return RoutingLayer(
         index=index,
         direction="h" if index % 2 == 1 else "v",
-        pitch_nm=_TRACK_PITCH_NM[kind],
         capacity=DEFAULT_EDGE_CAPACITY,
         cap_per_um=DEFAULT_CAP_FF_PER_UM,
-        res_per_um=DEFAULT_RES_OHM_PER_UM,
     )
 
 
@@ -235,7 +226,7 @@ def builtin_fabric(kind: str | FabricKind) -> FabricSpec:
     kind = normalize_kind(kind)
     return FabricSpec(
         kind=kind,
-        layers=tuple(_default_layer(kind, i) for i in range(1, _LAYER_COUNT[kind] + 1)),
+        layers=tuple(_default_layer(i) for i in range(1, _LAYER_COUNT[kind] + 1)),
         supply_voltage=DEFAULT_SUPPLY_V,
         site_dim_nm=_SITE_DIM_NM[kind],
         access_layer_ids=_ACCESS_LAYER_IDS[kind],
@@ -321,25 +312,26 @@ def load_fabric(text: str) -> FabricSpec:
     Format (one directive per line, ``#`` comments)::
 
         kind s3dc
-        layer 5 dir h pitch 20 cap 12 c 0.2 r 2.0
+        layer 5 dir h cap 12 c 0.2
         pin_layers 5
         access_layers 2 3 4 5 6
         vdd 0.8
         site 40
-        cellpower NAND3 1.2 0.08 900
+        cellpower NAND3 1.2 0.08
 
     Unspecified fields fall back to the builtin defaults for the declared
-    kind.  ``layer`` lines may partially override an existing layer or append
-    the next index; gaps are rejected.  ``pin_layers`` states only N (the
-    kind's N by default): ``access_layers`` must list exactly N layers, and
-    without it the access layers are N consecutive layers from the kind's
-    lowest one.  The cell footprint follows ``site``.
+    kind, which is declared once.  ``layer`` lines may partially override an
+    existing layer or append the next index; gaps are rejected.
+    ``pin_layers`` states only N (the kind's N by default): ``access_layers``
+    must list exactly N layers, and without it the access layers are N
+    consecutive layers from the kind's lowest one.  The cell footprint
+    follows ``site``.  Every error but a missing ``kind`` names its line.
     """
-    kind = None
-    layer_overrides: dict[int, dict[str, float | str]] = {}
+    kind_line = pin_line = access_line = 0
+    overrides: dict[int, tuple[int, RoutingLayer]] = {}  # index -> (first line, layer)
     pin_layers = None
     access_ids = None
-    changes: dict[str, float] = {}
+    changes: list[tuple[int, str, float]] = []  # (line, FabricSpec field, value)
     energy: dict[str, CellEnergyEntry] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -350,43 +342,41 @@ def load_fabric(text: str) -> FabricSpec:
         key = toks[0].lower()
         try:
             if key == "kind":
-                kind = normalize_kind(toks[1])
+                if kind_line:
+                    raise FabricConfigError(f"kind already declared on line {kind_line}")
+                (token,) = toks[1:]
+                kind, kind_line = normalize_kind(token), lineno
             elif key == "layer":
                 idx = int(toks[1])
-                ov = layer_overrides.setdefault(idx, {})
+                ov: dict[str, float | str] = {}
                 i = 2
                 while i + 1 < len(toks):
                     k, v = toks[i].lower(), toks[i + 1]
                     if k == "dir":
                         ov["direction"] = v.lower()
-                    elif k == "pitch":
-                        ov["pitch_nm"] = float(v)
                     elif k == "cap":
                         ov["capacity"] = int(v)
                     elif k == "c":
                         ov["cap_per_um"] = float(v)
-                    elif k == "r":
-                        ov["res_per_um"] = float(v)
                     else:
                         raise FabricConfigError(f"unknown layer attribute {toks[i]!r}")
                     i += 2
                 if i != len(toks):
                     raise FabricConfigError("layer attributes must be key/value pairs")
+                first, layer = overrides.get(idx, (lineno, None))
+                overrides[idx] = (first, replace(layer or _default_layer(idx), **ov))
             elif key == "pin_layers":
-                pin_layers = int(toks[1])
+                (value,) = toks[1:]
+                pin_layers, pin_line = int(value), lineno
             elif key == "access_layers":
-                access_ids = tuple(int(t) for t in toks[1:])
-            elif key == "vdd":
-                changes["supply_voltage"] = float(toks[1])
-            elif key == "site":
-                changes["site_dim_nm"] = float(toks[1])
+                access_ids, access_line = tuple(int(t) for t in toks[1:]), lineno
+            elif key in ("vdd", "site"):
+                (value,) = toks[1:]
+                name = "supply_voltage" if key == "vdd" else "site_dim_nm"
+                changes.append((lineno, name, float(value)))
             elif key == "cellpower":
-                energy[toks[1]] = CellEnergyEntry(
-                    master=toks[1],
-                    internal_fj=float(toks[2]),
-                    pin_cap_ff=float(toks[3]),
-                    drive_res_ohm=float(toks[4]),
-                )
+                master, internal_fj, pin_cap_ff = toks[1:]
+                energy[master] = CellEnergyEntry(master, float(internal_fj), float(pin_cap_ff))
             else:
                 raise FabricConfigError(f"unknown directive {toks[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -394,23 +384,28 @@ def load_fabric(text: str) -> FabricSpec:
                 raise FabricConfigError(f"line {lineno}: {exc}") from None
             raise FabricConfigError(f"line {lineno}: malformed {key!r} directive") from None
 
-    if kind is None:
+    if not kind_line:
         raise FabricConfigError("config must declare a fabric kind")
 
     base = builtin_fabric(kind)
     layers = {layer.index: layer for layer in base.layers}
-    for idx, ov in layer_overrides.items():
-        layers[idx] = replace(layers.get(idx) or _default_layer(kind, idx), **ov)
-    n = base.pin_access_layers if pin_layers is None else pin_layers
-    if access_ids is None:
-        start = base.access_layer_ids[0]
-        access_ids = tuple(range(start, start + n))
-    elif len(access_ids) != n:
-        raise FabricConfigError(f"access_layers lists {len(access_ids)} layers, not N = {n}")
-    return replace(
-        base,
-        layers=tuple(layers[i] for i in sorted(layers)),
-        access_layer_ids=access_ids,
-        cell_energy=energy,
-        **changes,
-    )
+    # Each step below can fail only on the directive of line ``lineno``.
+    try:
+        for idx, (lineno, layer) in sorted(overrides.items()):
+            if idx > len(layers) + 1:
+                raise FabricConfigError(
+                    f"layer {idx} breaks contiguity: expected layer {len(layers) + 1}")
+            layers[idx] = layer
+        spec = replace(base, layers=tuple(layers[i] for i in sorted(layers)), cell_energy=energy)
+        for lineno, name, value in changes:
+            spec = replace(spec, **{name: value})
+        lineno = access_line or pin_line
+        n = base.pin_access_layers if pin_layers is None else pin_layers
+        if access_ids is None:
+            start = base.access_layer_ids[0]
+            access_ids = tuple(range(start, start + n))
+        elif len(access_ids) != n:
+            raise FabricConfigError(f"access_layers lists {len(access_ids)} layers, not N = {n}")
+        return replace(spec, access_layer_ids=access_ids)
+    except FabricConfigError as exc:
+        raise FabricConfigError(f"line {lineno}: {exc}") from None

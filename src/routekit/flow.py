@@ -59,8 +59,9 @@ class JobSpec:
     seed: int = _option(nl.SynthesisParams.seed, "generate", "seed of generation and placement")
     utilization: float = _option(inspect.signature(pl.size_die).parameters["utilization"].default,
                                  "place", "die utilization")
-    moves_per_temp: int | None = _option(pl.AnnealConfig.moves_per_temp, "place",
-                                         "annealer moves per temperature (default: 100 per cell)")
+    moves_per_temp: int | None = _option(
+        pl.AnnealConfig.moves_per_temp, "place",
+        f"annealer moves per temperature (default: 100 per cell, at most {pl.MOVES_CAP})")
     max_temps: int = _option(pl.AnnealConfig.max_temps, "place", "annealer temperature steps")
     label: str | None = _option(None, "place", "report label (default: <fabric>:<netlist>)")
     gcell: int = _option(3, "route", "gcell size in sites")
@@ -101,7 +102,12 @@ class JobResult:
 def load_fabric(token: str) -> fab.FabricSpec:
     """The fabric config file ``token`` if it exists, else a builtin fabric."""
     path = Path(token)
-    return fab.load_fabric(path.read_text()) if path.is_file() else fab.builtin_fabric(token)
+    if not path.is_file():
+        return fab.builtin_fabric(token)
+    try:
+        return fab.load_fabric(path.read_text())
+    except fab.FabricConfigError as exc:
+        raise JobError(f"{path}: {exc}") from exc
 
 
 def read_netlist(path: Path) -> nl.Netlist:

@@ -33,16 +33,18 @@ class RoutingError(RuntimeError):
     pass
 
 
+PRESENT_FACTOR = 1.0  # first-pass weight of an edge's overuse
+PRESENT_GROWTH = 1.5  # present-factor growth per reroute iteration
+HISTORY_INCREMENT = 1.0  # history added per unit of overuse per iteration
+BBOX_MARGIN = 2  # gcells searched beyond a net's terminal bounding box
+STAGNATION_ITERS = 3  # stop after this many expensive iterations without progress
+STAGNATION_GAIN = 0.02  # >=2% overflow reduction counts as progress
+STAGNATION_MIN_NETS = 128  # smaller reroute batches are cheap; let them run
+
+
 @dataclass
 class RouteParams:
     max_iters: int = 40
-    present_factor: float = 1.0
-    present_growth: float = 1.5
-    history_increment: float = 1.0
-    bbox_margin: int = 2
-    stagnation_iters: int = 3  # stop after this many expensive iterations without progress
-    stagnation_gain: float = 0.02  # >=2% overflow reduction counts as progress
-    stagnation_min_nets: int = 128  # smaller reroute batches are cheap; let them run
 
 
 class RoutingGraph:
@@ -593,10 +595,9 @@ def route_terminal_sets(
     order = sorted(range(len(tasks)), key=lambda i: (-tasks[i].hp, tasks[i].net_id))
     routed_edges: dict[int, list[int]] = {}
     dem = graph.demand
-    pres_fac = params.present_factor
+    pres_fac = PRESENT_FACTOR
 
     scratch = _Scratch(graph)
-    margin = params.bbox_margin
     cap = graph.capacity
     # Edges with demand > capacity, kept current at every demand change.
     overflowed = {e for e in range(graph.num_edges) if dem[e] > cap[e]}
@@ -608,7 +609,7 @@ def route_terminal_sets(
             over = sorted(overflowed)
             if not over:
                 break
-            if best_overflow is None or len(over) < best_overflow * (1.0 - params.stagnation_gain):
+            if best_overflow is None or len(over) < best_overflow * (1.0 - STAGNATION_GAIN):
                 best_overflow = len(over)
                 stale = 0
             else:
@@ -639,17 +640,17 @@ def route_terminal_sets(
             pending = [i for i in order if i in ripped]
             if not pending:
                 break
-            if stale >= params.stagnation_iters and len(pending) > params.stagnation_min_nets:
+            if stale >= STAGNATION_ITERS and len(pending) > STAGNATION_MIN_NETS:
                 logger.debug("overflow stagnant for %d iterations, stopping", stale)
                 break
             for e in over:
-                graph.history[e] += params.history_increment * (dem[e] - cap[e])
+                graph.history[e] += HISTORY_INCREMENT * (dem[e] - cap[e])
             for i in pending:
                 for e in routed_edges.pop(i):
                     dem[e] -= 1
                     if dem[e] == cap[e]:
                         overflowed.discard(e)
-            pres_fac *= params.present_growth
+            pres_fac *= PRESENT_GROWTH
             logger.debug(
                 "reroute iteration %d: %d overflowed edges, %d nets",
                 iteration, len(over), len(pending),
@@ -657,9 +658,9 @@ def route_terminal_sets(
         # Route in order, committing each net's demand before the next one.
         for i in pending:
             task = tasks[i]
-            edges = _route_one(graph, task, _region(task, margin, graph), pres_fac, scratch)
+            edges = _route_one(graph, task, _region(task, BBOX_MARGIN, graph), pres_fac, scratch)
             if edges is None:
-                edges = _route_with_growth(graph, task, margin, pres_fac, scratch)
+                edges = _route_with_growth(graph, task, BBOX_MARGIN, pres_fac, scratch)
             for e in edges:
                 dem[e] += 1
                 if dem[e] > cap[e]:

@@ -107,8 +107,13 @@ class BenchmarkReport:
 
 
 def ppa(rows: list[BenchmarkReport], baseline_label: str) -> dict[str, float]:
-    """Normalized frequency / (power * footprint) per row; baseline is 1.0."""
-    by_label = {r.label: r for r in rows}
+    """Normalized frequency / (power * footprint) per row; baseline is 1.0.
+    Labels must be distinct, since they name the rows."""
+    by_label: dict[str, BenchmarkReport] = {}
+    for r in rows:
+        if r.label in by_label:
+            raise MetricsError(f"label {r.label!r} names two report rows")
+        by_label[r.label] = r
     if baseline_label not in by_label:
         raise MetricsError(f"baseline {baseline_label!r} not among report rows")
     for r in rows:

@@ -147,7 +147,8 @@ def hpwl(netlist: Netlist, placement: Placement) -> int:
 
 
 def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int = 0) -> Placement:
-    """The seeded random slot assignment ``place`` starts from."""
+    """The seeded random slot assignment ``place`` starts from.  ``fabric``
+    is unread; it stays so that callers keep the signature of ``place``."""
     rng = random.Random(seed)
     nslots, xs, ys = _slots(netlist, die)
     chosen = rng.sample(range(nslots), len(netlist.cells))
@@ -155,12 +156,14 @@ def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int =
     return Placement(assignments=assignments, die=die)
 
 
+MOVES_CAP = 40000  # most moves per temperature step by default
+COOLING = 0.95  # temperature factor per step
+MIN_ACCEPT_RATE = 0.01  # stop once a step accepts fewer moves than this share
+
+
 @dataclass
 class AnnealConfig:
-    moves_per_temp: int | None = None  # default 100 * num_cells, capped at moves_cap
-    moves_cap: int = 40000
-    cooling: float = 0.95
-    min_accept_rate: float = 0.01
+    moves_per_temp: int | None = None  # default 100 * num_cells, at most MOVES_CAP
     max_temps: int = 150
     restarts: int = 1
 
@@ -176,6 +179,8 @@ def place(
 
     Deterministic for a fixed seed; the returned placement never has higher
     HPWL than the initial random assignment (best-seen state is kept).
+    ``fabric`` is unread: the bound masters carry its geometry, and the
+    argument stays because callers pass it positionally.
     """
     cfg = config or AnnealConfig()
     nslots, slot_x, slot_y = _slots(netlist, die)
@@ -185,7 +190,7 @@ def place(
 
     moves_per_temp = cfg.moves_per_temp
     if moves_per_temp is None:
-        moves_per_temp = min(100 * n, cfg.moves_cap)
+        moves_per_temp = min(100 * n, MOVES_CAP)
 
     rng = random.Random(seed)
     best_slots: list[int] | None = None
@@ -194,7 +199,7 @@ def place(
         slots = rng.sample(range(nslots), n)
         cost = _anneal(
             slots, nslots, slot_x, slot_y, net_terms, tables, rng,
-            moves_per_temp, cfg.cooling, cfg.min_accept_rate, cfg.max_temps,
+            moves_per_temp, cfg.max_temps,
         )
         if cost < best_cost:
             best_cost = cost
@@ -235,7 +240,7 @@ def _move_tables(net_terms, n):
 
 
 def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
-            moves_per_temp, cooling, min_accept, max_temps):
+            moves_per_temp, max_temps):
     """One annealing run; leaves ``cell_slot`` at the best-seen assignment
     and returns its cost."""
     two, multi, cell_nets = tables
@@ -333,7 +338,7 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
     logger.debug("anneal start: T=%.6g, cost %d, %d cells in %d slots, %d moves per step",
                  t, cost, n, nslots, moves_per_temp)
 
-    min_accepted = max(1, int(min_accept * moves_per_temp))
+    min_accepted = max(1, int(MIN_ACCEPT_RATE * moves_per_temp))
     for step in range(max_temps):
         accepted = 0
         for _ in range(moves_per_temp):
@@ -382,7 +387,7 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
                     py[c2] = y2
         logger.debug("anneal step %d: T=%.6g, accepted %d of %d, cost %d, best %d",
                      step, t, accepted, moves_per_temp, cost, best_cost)
-        t *= cooling
+        t *= COOLING
         if accepted < min_accepted:
             logger.debug("anneal stopped after step %d: %d accepted moves, below %d",
                          step, accepted, min_accepted)

@@ -98,8 +98,13 @@ def compare_demand(
     params: RentParams,
     baseline_label: str,
 ) -> list[DemandRow]:
-    """Demand of each design divided by the baseline design's demand."""
-    estimates = {label: demand_estimate(inp, params) for label, inp in designs}
+    """Demand of each design divided by the baseline design's demand.
+    Labels must be distinct, since they name the rows."""
+    estimates: dict[str, DemandEstimate] = {}
+    for label, inp in designs:
+        if label in estimates:
+            raise ValueError(f"label {label!r} names two designs")
+        estimates[label] = demand_estimate(inp, params)
     if baseline_label not in estimates:
         raise KeyError(f"baseline {baseline_label!r} not among designs")
     base = estimates[baseline_label].demand
@@ -113,7 +118,7 @@ def compare_demand(
             demand=est.demand,
             demand_normalized=est.demand / base,
         )
-        for label, est in ((label, estimates[label]) for label, _ in designs)
+        for label, est in estimates.items()
     ]
 
 
@@ -170,7 +175,10 @@ def _external_counts(net_members: list[list[int]], labels: list[int], nblocks: i
     return ext
 
 
-def fit_rent_exponent(netlist, min_block: int = 32, seed: int = 0) -> RentFit:
+MIN_BLOCK = 32  # bisection stops before a block would drop below this many cells
+
+
+def fit_rent_exponent(netlist, seed: int = 0) -> RentFit:
     """Measure the Rent exponent of a netlist.
 
     Blocks are split recursively with Kernighan-Lin min-cut bisection (10
@@ -180,15 +188,15 @@ def fit_rent_exponent(netlist, min_block: int = 32, seed: int = 0) -> RentFit:
     through (log G, log E).  Deterministic for a fixed seed.
     """
     n = len(netlist.cells)
-    if n < 4 * min_block:
-        raise ValueError(f"netlist too small to fit (need >= {4 * min_block} cells)")
+    if n < 4 * MIN_BLOCK:
+        raise ValueError(f"netlist too small to fit (need >= {4 * MIN_BLOCK} cells)")
     graph, net_members = _clique_graph(netlist)
     rng = random.Random(seed)
 
     blocks: list[list[int]] = [list(range(n))]
     points: list[tuple[float, float]] = []
     while True:
-        if min(len(b) for b in blocks) < 2 * min_block:
+        if min(len(b) for b in blocks) < 2 * MIN_BLOCK:
             break
         nxt: list[list[int]] = []
         for block in blocks:

@@ -6,8 +6,11 @@ in closed form and drew cells and slots with ``getrandbits`` rejection.
 The live ``routekit.placement.place`` must return exactly what this one
 returns: the same moves, the same random draws, the same integer deltas and
 so the same assignments.  The helpers (``_slots``, ``_terminal_offsets``,
-``AnnealConfig``, ``Placement``) come from the live module.  Do not edit or
-optimise this file.
+``AnnealConfig``, ``Placement``) come from the live module.  The schedule
+values it once read from ``AnnealConfig`` (at most 40000 moves per step by
+default, cooling 0.95, stop below a 0.01 acceptance rate) are written in as
+literals, so that the copy does not follow the live constants.  Do not edit
+or optimise this file.
 """
 
 import math
@@ -42,7 +45,7 @@ def place(
 
     moves_per_temp = cfg.moves_per_temp
     if moves_per_temp is None:
-        moves_per_temp = min(100 * n, cfg.moves_cap)
+        moves_per_temp = min(100 * n, 40000)
 
     rng = random.Random(seed)
     best_slots: list[int] | None = None
@@ -51,7 +54,7 @@ def place(
         slots = rng.sample(range(nslots), n)
         cost = _anneal(
             slots, nslots, slot_x, slot_y, net_terms, cell_nets, rng,
-            moves_per_temp, cfg.cooling, cfg.min_accept_rate, cfg.max_temps,
+            moves_per_temp, 0.95, 0.01, cfg.max_temps,
         )
         if cost < best_cost:
             best_cost = cost

@@ -10,7 +10,11 @@ same edges and nodes, in the same order, with the same tie-breaks.
 it kept its set of overflowed edges current: it rescans every edge on every
 iteration.  It calls the live helpers (``_route_one`` and the table-driven
 search), so comparing it with ``routekit.globalroute.route_terminal_sets``
-checks the overflow bookkeeping alone.  Do not edit or optimise this file.
+checks the overflow bookkeeping alone.  The schedule values it once read
+from ``RouteParams`` (present factor 1.0 growing 1.5x, history increment
+1.0, bounding-box margin 2, stagnation after 3 iterations under 2% gain with
+more than 128 nets) are written in as literals, so that the copy does not
+follow the live constants.  Do not edit or optimise this file.
 """
 
 import heapq
@@ -206,10 +210,10 @@ def route_terminal_sets(
     order = sorted(range(len(tasks)), key=lambda i: (-tasks[i].hp, tasks[i].net_id))
     routed_edges: dict[int, list[int]] = {}
     dem = graph.demand
-    pres_fac = params.present_factor
+    pres_fac = 1.0
 
     scratch = gr._Scratch(graph)
-    margin = params.bbox_margin
+    margin = 2
     best_overflow = None
     stale = 0
     pending = list(order)
@@ -218,7 +222,7 @@ def route_terminal_sets(
             over = [e for e in range(graph.num_edges) if dem[e] > graph.capacity[e]]
             if not over:
                 break
-            if best_overflow is None or len(over) < best_overflow * (1.0 - params.stagnation_gain):
+            if best_overflow is None or len(over) < best_overflow * (1.0 - 0.02):
                 best_overflow = len(over)
                 stale = 0
             else:
@@ -250,15 +254,15 @@ def route_terminal_sets(
             pending = [i for i in order if i in ripped]
             if not pending:
                 break
-            if stale >= params.stagnation_iters and len(pending) > params.stagnation_min_nets:
+            if stale >= 3 and len(pending) > 128:
                 logger.debug("overflow stagnant for %d iterations, stopping", stale)
                 break
             for e in over:
-                graph.history[e] += params.history_increment * (dem[e] - graph.capacity[e])
+                graph.history[e] += 1.0 * (dem[e] - graph.capacity[e])
             for i in pending:
                 for e in routed_edges.pop(i):
                     dem[e] -= 1
-            pres_fac *= params.present_growth
+            pres_fac *= 1.5
             logger.debug(
                 "reroute iteration %d: %d overflowed edges, %d nets",
                 iteration, len(over), len(pending),

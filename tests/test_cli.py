@@ -1,5 +1,6 @@
 import json
 import pickle
+import shutil
 
 import pytest
 
@@ -174,6 +175,16 @@ def test_compare_missing_baseline_exits_2(tmp_path, capsys):
     dirs = make_runs(tmp_path, fabrics=("2d",))
     rc = run_cli("compare", *dirs, "--baseline", "zzz")
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["compare", "analyze"])
+def test_repeated_label_exits_2_naming_it(tmp_path, capsys, command):
+    # two runs of one netlist on one fabric share their label
+    (first,) = make_runs(tmp_path, fabrics=("2d",))
+    second = shutil.copytree(first, tmp_path / "again")
+    capsys.readouterr()
+    assert run_cli(command, first, second) == 2
+    assert "label '2d'" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

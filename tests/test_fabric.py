@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from routekit import fabric as fab
 from routekit import netlist as nl
+from routekit.cli import main
 
 
 def test_builtin_2d_defaults():
@@ -194,11 +197,10 @@ def test_load_rejects_multilayer_pins_on_planar():
 
 
 def test_load_cellpower_table():
-    spec = fab.load_fabric("kind 2d\ncellpower NAND3 1.2 0.08 900\n")
+    spec = fab.load_fabric("kind 2d\ncellpower NAND3 1.2 0.08\n")
     entry = spec.cell_energy["NAND3"]
     assert entry.internal_fj == pytest.approx(1.2)
     assert entry.pin_cap_ff == pytest.approx(0.08)
-    assert entry.drive_res_ohm == pytest.approx(900)
 
 
 def test_load_vdd_and_site():
@@ -241,3 +243,38 @@ def test_bind_masters_uses_fabric_access_layers():
 def test_load_reports_line_numbers():
     with pytest.raises(fab.FabricConfigError, match="line 2"):
         fab.load_fabric("kind 2d\nlayer x cap 5\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("kind 2d\nlayer 12 cap 5\nvdd 0.8\n", 2),
+    ("kind 2d\nlayer 0 cap 5\nvdd 0.8\n", 2),
+    ("kind 2d\nlayer 3 dir x\nlayer 3 cap 5\n", 2),
+    ("kind 2d\naccess_layers 9\nvdd 0.8\n", 2),
+    ("kind 2d\npin_layers 5\nvdd 0.8\n", 2),
+    ("kind 2d\naccess_layers\nvdd 0.8\n", 2),
+    ("kind 2d\nvdd 0.8 0.9\n", 2),
+    ("kind 2d\nsite 40 x\n", 2),
+    ("kind 2d extra\n", 1),
+    ("kind 2d\ncellpower M 1 0.1 900 junk\n", 2),
+    ("kind 2d\nvdd 0.8\nkind s3dc\n", 3),
+    # values that nothing read: track pitch, wire resistance, drive resistance
+    ("kind 2d\nlayer 3 pitch 20\n", 2),
+    ("kind 2d\nlayer 3 r 2.0\n", 2),
+    ("kind 2d\ncellpower M 1 0.1 900\n", 2),
+])
+def test_fabric_config_errors_name_their_line(tmp_path, capsys, text, lineno):
+    with pytest.raises(fab.FabricConfigError, match=f"^line {lineno}: "):
+        fab.load_fabric(text)
+    cfg = tmp_path / "bad.fab"
+    cfg.write_text(text)
+    assert main(["run", "--fabric", str(cfg), "--cells", "16", "-o", str(tmp_path / "out")]) == 2
+    assert f"{cfg}: line {lineno}: " in capsys.readouterr().err
+
+
+def test_readme_fabric_config_block_loads():
+    # the README's example config stays in step with the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\nFabric config", 1)[1].split("```\n")[1]
+    spec = fab.load_fabric(block)
+    assert spec.kind is fab.FabricKind.S3DC
+    assert set(spec.cell_energy) == {"NAND3"}

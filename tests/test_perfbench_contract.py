@@ -35,9 +35,11 @@ def test_perfbench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_router_log_records_match_tracing():
+def test_router_log_records_match_tracing(monkeypatch):
     # one capacity-1 via shared by two nets: the overflow never clears, so
-    # the router reroutes until the stagnation rule stops it
+    # the router reroutes until the stagnation rule, here with no floor on
+    # the reroute batch, stops it
+    monkeypatch.setattr(gr, "STAGNATION_MIN_NETS", 0)
     graph = gr.RoutingGraph(1, 1, 2, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
     log = logging.getLogger("routekit.globalroute")
     handler = _Records()
@@ -45,8 +47,7 @@ def test_router_log_records_match_tracing():
     log.setLevel(logging.DEBUG)
     log.addHandler(handler)
     try:
-        gr.route_terminal_sets(graph, [("na", [[0], [1]]), ("nb", [[0], [1]])],
-                               gr.RouteParams(stagnation_min_nets=0))
+        gr.route_terminal_sets(graph, [("na", [[0], [1]]), ("nb", [[0], [1]])])
     finally:
         log.removeHandler(handler)
         log.setLevel(level)

@@ -181,7 +181,7 @@ def test_place_matches_its_declared_initial_state():
     d = fab.bind_masters(d, FAB2D)
     die = pl.size_die(d, FAB2D, 0.6)
     frozen = pl.place(d, FAB2D, die, seed=8,
-                      config=pl.AnnealConfig(moves_per_temp=1, max_temps=1, min_accept_rate=1.0))
+                      config=pl.AnnealConfig(moves_per_temp=1, max_temps=1))
     initial = pl.random_placement(d, FAB2D, die, seed=8)
     # with essentially no moves the annealer returns (near) the initial state
     assert pl.hpwl(d, frozen) <= pl.hpwl(d, initial)
@@ -221,10 +221,7 @@ def test_place_scores_empty_net_zero():
     assert pl.hpwl(d, placed) == pl.hpwl(d, plain) == 1
 
 
-def anneal_log(caplog, cfg):
-    d = nl.generate_synthetic(nl.SynthesisParams(num_cells=40, seed=3))
-    d = fab.bind_masters(d, FAB2D)
-    die = pl.size_die(d, FAB2D, 0.6)
+def anneal_log(caplog, d, die, cfg):
     with caplog.at_level(logging.DEBUG, logger="routekit.placement"):
         placed = pl.place(d, FAB2D, die, seed=1, config=cfg)
     records = [r for r in caplog.records if r.name == "routekit.placement"]
@@ -233,26 +230,29 @@ def anneal_log(caplog, cfg):
 
 
 def test_anneal_logs_start_steps_and_max_temps_stop(caplog):
-    cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=6, min_accept_rate=0.0, cooling=0.5)
-    final, records = anneal_log(caplog, cfg)
+    # 40 cells, hot for 6 steps: each step accepts far more than 1% of its moves
+    d = fab.bind_masters(nl.generate_synthetic(nl.SynthesisParams(num_cells=40, seed=3)), FAB2D)
+    cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=6)
+    final, records = anneal_log(caplog, d, pl.size_die(d, FAB2D, 0.6), cfg)
     assert records[0].getMessage().startswith("anneal start: T=")
     steps = records[1:-1]
     assert [r.args[0] for r in steps] == list(range(6))
     temps = [r.args[1] for r in steps]
     assert temps[0] == records[0].args[0]
-    assert all(b == a * 0.5 for a, b in zip(temps, temps[1:]))
+    assert all(b == a * pl.COOLING for a, b in zip(temps, temps[1:]))
     assert all(0 <= r.args[2] <= 200 for r in steps)
     assert steps[-1].args[5] == final  # best-seen cost is the returned HPWL
     assert records[-1].getMessage() == "anneal stopped: max_temps (6) reached"
 
 
 def test_anneal_logs_acceptance_stop(caplog):
-    cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=50, min_accept_rate=1.0)
-    _, records = anneal_log(caplog, cfg)
+    # one cell in a one-slot die: no move can be accepted
+    cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=50)
+    _, records = anneal_log(caplog, tiny_netlist(1, []), pl.Die(1, 1, 90.0, 1.0), cfg)
     assert len(records) == 3  # start, one step, stop
     stop = records[-1].getMessage()
     assert stop.startswith("anneal stopped after step 0: ")
-    assert stop.endswith("accepted moves, below 200")
+    assert stop.endswith("accepted moves, below 2")
 
 
 def test_small_instance_brute_force_optimality():

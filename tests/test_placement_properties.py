@@ -98,8 +98,6 @@ def instances(draw):
         die = pl.size_die(design, fabric, draw(st.floats(0.15, 0.9)))
     cfg = pl.AnnealConfig(
         moves_per_temp=draw(st.sampled_from([1, 2, 7, 60, 400])),
-        cooling=draw(st.sampled_from([0.5, 0.9, 0.95])),
-        min_accept_rate=draw(st.sampled_from([0.0, 0.01, 0.2, 1.0])),
         max_temps=draw(st.integers(0, 25)),
         restarts=draw(st.integers(1, 3)),
     )
@@ -119,7 +117,7 @@ def test_cell_and_slot_draws_are_randrange(m):
     # about half as many, the placer must consume the same bits in the same
     # calls, so its draws are random.Random(seed).randrange(m) too.
     die = pl.Die(m, 1, 90.0, 1.0)
-    cfg = pl.AnnealConfig(moves_per_temp=300, max_temps=3, min_accept_rate=0.0, restarts=2)
+    cfg = pl.AnnealConfig(moves_per_temp=300, max_temps=3, restarts=2)
     for n in sorted({m, (m + 1) // 2}):
         ring = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n, (i + 5) % n)
                                                        for i in range(0, n, 3)]

@@ -148,6 +148,12 @@ def test_compare_demand_missing_baseline():
         rent.compare_demand([("a", rent.PinDensityInput(1, 1.0, 1))], P, "zzz")
 
 
+def test_compare_demand_rejects_repeated_label():
+    designs = [("x", rent.PinDensityInput(1, 1.0, 1)), ("x", rent.PinDensityInput(2, 1.0, 1))]
+    with pytest.raises(ValueError, match="label 'x'"):
+        rent.compare_demand(designs, P, "x")
+
+
 def test_demand_table_csv_shape():
     rows = rent.compare_demand(
         [("a", rent.PinDensityInput(100, 10.0, 1)),
@@ -188,4 +194,4 @@ def test_fit_levels_decrease_geometrically(synth_1024):
 def test_fit_rejects_small_netlists():
     d = nl.generate_synthetic(nl.SynthesisParams(num_cells=64, seed=0))
     with pytest.raises(ValueError, match="too small"):
-        rent.fit_rent_exponent(d, min_block=32)
+        rent.fit_rent_exponent(d)
