@@ -125,12 +125,10 @@ def cmd_place(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_placement(csv_path: Path, design: nl.Netlist, die: pl.Die) -> dict:
-    """The cell origins in ``csv_path``: every design cell on exactly one
-    line, its footprint inside the die and on sites that no other cell
-    covers.  One pass marks each cell's sites in an occupancy grid."""
-    masters = {cell.id: design.masters[cell.master] for cell in design.cells}
-    owner: list[str | None] = [None] * die.area_sites
+def _read_placement(csv_path: Path, design: nl.Netlist, die: pl.Die) -> pl.Placement:
+    """The placement in ``csv_path``: every design cell on exactly one line,
+    and legal by ``pl.illegal_cell``.  Each error names its line."""
+    lines: dict[str, int | None] = {cell.id: None for cell in design.cells}
     assignments = {}
     for lineno, line in enumerate(csv_path.read_text().splitlines()[1:], start=2):
         where = f"{csv_path}: line {lineno}:"
@@ -140,24 +138,21 @@ def _read_placement(csv_path: Path, design: nl.Netlist, die: pl.Die) -> dict:
         except ValueError:
             raise flow.JobError(f"{where} expected 'cell,x,y' with integer x and y, "
                                 f"got {line!r}") from None
-        if cid not in masters:
+        if cid not in lines:
             raise flow.JobError(f"{where} unknown cell {cid!r}")
-        if cid in assignments:
+        if lines[cid] is not None:
             raise flow.JobError(f"{where} cell {cid!r} is placed twice")
-        m = masters[cid]
-        if x < 0 or y < 0 or x + m.width > die.width or y + m.height > die.height:
-            raise flow.JobError(f"{where} cell {cid!r} at ({x},{y}) does not fit in the "
-                                f"{die.width}x{die.height} die")
-        for row in range(y * die.width, (y + m.height) * die.width, die.width):
-            for site in range(row + x, row + x + m.width):
-                if owner[site] is not None:
-                    raise flow.JobError(f"{where} cell {cid!r} overlaps cell {owner[site]!r}")
-                owner[site] = cid
+        lines[cid] = lineno
         assignments[cid] = (x, y)
-    for cid in masters:
-        if cid not in assignments:
+    for cid, lineno in lines.items():
+        if lineno is None:
             raise flow.JobError(f"{csv_path}: cell {cid!r} has no line")
-    return assignments
+    placement = pl.Placement(assignments, die)
+    illegal = pl.illegal_cell(design, placement)
+    if illegal:
+        cid, message = illegal
+        raise flow.JobError(f"{csv_path}: line {lines[cid]}: {message}")
+    return placement
 
 
 def _load_placed(run_dir: Path) -> flow.PlacedJob:
@@ -167,8 +162,8 @@ def _load_placed(run_dir: Path) -> flow.PlacedJob:
     fabric = flow.load_fabric(meta["fabric"])
     design = fab.bind_masters(flow.read_netlist(run_dir / "netlist.net"), fabric)
     die = pl.Die(meta["die_width"], meta["die_height"], fabric.site_dim_nm, meta["utilization"])
-    assignments = _read_placement(run_dir / "placement.csv", design, die)
-    return flow.PlacedJob(fabric, design, die, pl.Placement(assignments, die), meta)
+    placement = _read_placement(run_dir / "placement.csv", design, die)
+    return flow.PlacedJob(fabric, design, die, placement, meta)
 
 
 def cmd_route(args: argparse.Namespace) -> int:
@@ -193,10 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         meta = _read_json(Path(d) / "run_meta.json", {"label": str, **density})
         designs.append((meta["label"], rent.PinDensityInput(**{k: meta[k] for k in density})))
     baseline = args.baseline or designs[0][0]
-    try:
-        rows = rent.compare_demand(designs, rent.RentParams(r=args.rent, a=args.pins), baseline)
-    except KeyError as exc:
-        raise flow.JobError(str(exc)) from exc
+    rows = rent.compare_demand(designs, rent.RentParams(r=args.rent, a=args.pins), baseline)
     csv_text = rent.demand_table_csv(rows)
     if args.output:
         _write(Path(args.output), csv_text)

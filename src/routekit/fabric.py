@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 
@@ -86,6 +87,9 @@ class RoutingLayer:
             raise FabricConfigError(f"layer {self.index}: direction must be 'h' or 'v'")
         if self.capacity < 0:
             raise FabricConfigError(f"layer {self.index}: negative capacity")
+        if not 0 < self.cap_per_um < math.inf:
+            raise FabricConfigError(
+                f"layer {self.index}: wire capacitance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ class CellEnergyEntry:
     pin_cap_ff: float  # capacitance of one input pin
 
     def __post_init__(self):
-        if min(self.internal_fj, self.pin_cap_ff) < 0:
-            raise FabricConfigError(f"cellpower {self.master}: values must be >= 0")
+        if not (0 <= self.internal_fj < math.inf and 0 <= self.pin_cap_ff < math.inf):
+            raise FabricConfigError(f"cellpower {self.master}: values must be finite and >= 0")
 
 
 DEFAULT_CELL_ENERGY = CellEnergyEntry("default", internal_fj=1.0, pin_cap_ff=0.1)
@@ -127,8 +131,8 @@ class FabricSpec:
         for lid in self.access_layer_ids:
             if not 1 <= lid <= top:
                 raise FabricConfigError(f"access layer {lid} outside stack of {top} layers")
-        if self.supply_voltage <= 0 or self.site_dim_nm <= 0:
-            raise FabricConfigError("supply_voltage and site_dim_nm must be positive")
+        if not (0 < self.supply_voltage < math.inf and 0 < self.site_dim_nm < math.inf):
+            raise FabricConfigError("supply_voltage and site_dim_nm must be finite and positive")
 
     @property
     def num_layers(self) -> int:
@@ -320,14 +324,16 @@ def load_fabric(text: str) -> FabricSpec:
         cellpower NAND3 1.2 0.08
 
     Unspecified fields fall back to the builtin defaults for the declared
-    kind, which is declared once.  ``layer`` lines may partially override an
-    existing layer or append the next index; gaps are rejected.
+    kind.  Each directive is given once (``cellpower`` once per master),
+    except ``layer``: its lines may partially override an existing layer or
+    append the next index; gaps are rejected.  Values must be finite, with
+    ``c``, ``vdd`` and ``site`` positive and ``cellpower`` values >= 0.
     ``pin_layers`` states only N (the kind's N by default): ``access_layers``
     must list exactly N layers, and without it the access layers are N
     consecutive layers from the kind's lowest one.  The cell footprint
     follows ``site``.  Every error but a missing ``kind`` names its line.
     """
-    kind_line = pin_line = access_line = 0
+    first: dict[str, int] = {}  # directive ('cellpower <master>' per master) -> first line
     overrides: dict[int, tuple[int, RoutingLayer]] = {}  # index -> (first line, layer)
     pin_layers = None
     access_ids = None
@@ -341,11 +347,13 @@ def load_fabric(text: str) -> FabricSpec:
         toks = line.split()
         key = toks[0].lower()
         try:
+            directive = f"{key} {toks[1]}" if key == "cellpower" else key
+            if directive in first and key != "layer":
+                raise FabricConfigError(f"{directive} already declared on line {first[directive]}")
+            first.setdefault(directive, lineno)
             if key == "kind":
-                if kind_line:
-                    raise FabricConfigError(f"kind already declared on line {kind_line}")
                 (token,) = toks[1:]
-                kind, kind_line = normalize_kind(token), lineno
+                kind = normalize_kind(token)
             elif key == "layer":
                 idx = int(toks[1])
                 ov: dict[str, float | str] = {}
@@ -363,13 +371,13 @@ def load_fabric(text: str) -> FabricSpec:
                     i += 2
                 if i != len(toks):
                     raise FabricConfigError("layer attributes must be key/value pairs")
-                first, layer = overrides.get(idx, (lineno, None))
-                overrides[idx] = (first, replace(layer or _default_layer(idx), **ov))
+                line0, layer = overrides.get(idx, (lineno, None))
+                overrides[idx] = (line0, replace(layer or _default_layer(idx), **ov))
             elif key == "pin_layers":
                 (value,) = toks[1:]
-                pin_layers, pin_line = int(value), lineno
+                pin_layers = int(value)
             elif key == "access_layers":
-                access_ids, access_line = tuple(int(t) for t in toks[1:]), lineno
+                access_ids = tuple(int(t) for t in toks[1:])
             elif key in ("vdd", "site"):
                 (value,) = toks[1:]
                 name = "supply_voltage" if key == "vdd" else "site_dim_nm"
@@ -384,7 +392,7 @@ def load_fabric(text: str) -> FabricSpec:
                 raise FabricConfigError(f"line {lineno}: {exc}") from None
             raise FabricConfigError(f"line {lineno}: malformed {key!r} directive") from None
 
-    if not kind_line:
+    if "kind" not in first:
         raise FabricConfigError("config must declare a fabric kind")
 
     base = builtin_fabric(kind)
@@ -399,7 +407,7 @@ def load_fabric(text: str) -> FabricSpec:
         spec = replace(base, layers=tuple(layers[i] for i in sorted(layers)), cell_energy=energy)
         for lineno, name, value in changes:
             spec = replace(spec, **{name: value})
-        lineno = access_line or pin_line
+        lineno = first.get("access_layers") or first.get("pin_layers")
         n = base.pin_access_layers if pin_layers is None else pin_layers
         if access_ids is None:
             start = base.access_layer_ids[0]

@@ -135,8 +135,8 @@ def load_design(spec: JobSpec) -> nl.Netlist:
 def place_job(spec: JobSpec) -> PlacedJob:
     fabric = load_fabric(spec.fabric)
     design = load_design(spec)
-    for entry in nl.validate(design).errors:
-        raise JobError(f"netlist invalid: {entry.message}")
+    for error in nl.validate(design):
+        raise JobError(f"netlist invalid: {error}")
     design = fab.bind_masters(design, fabric)
     die = pl.size_die(design, fabric, spec.utilization)
     config = pl.AnnealConfig(moves_per_temp=spec.moves_per_temp, max_temps=spec.max_temps)

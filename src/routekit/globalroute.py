@@ -16,8 +16,10 @@ segments cost nothing.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,12 +55,15 @@ class RoutingGraph:
     Node ids are ``(layer * Y + y) * X + x`` with 0-based layers, which makes
     ascending-id tie-breaking equal to lexicographic (layer, y, x) order.
     Edge ids pack all planar edges (layer by layer) followed by all via
-    edges.
+    edges.  ``blocks[layer]`` is the ``(rows, cols)`` shape of a layer's
+    planar edges, the edge from (gx, gy) toward +x on an 'h' layer or +y on
+    a 'v' layer being ``pbase[layer] + gy * cols + gx``; ``via_block`` is
+    the (layer, y, x) shape of the via edges after them.
     """
 
     __slots__ = (
         "x", "y", "layers", "gcell_size", "site_dim_nm", "layer_dirs",
-        "fabric", "pbase", "via_base", "num_edges", "capacity", "demand",
+        "fabric", "blocks", "pbase", "via_base", "num_edges", "capacity", "demand",
         "history",
     )
 
@@ -78,23 +83,23 @@ class RoutingGraph:
         self.layer_dirs = layer_dirs
         self.fabric = fabric
 
+        self.blocks = [(y, x - 1) if layer_dirs[li] == "h" else (y - 1, x)
+                       for li in range(layers)]
         self.pbase = []
-        eid = 0
-        for li in range(layers):
-            self.pbase.append(eid)
-            eid += (x - 1) * y if layer_dirs[li] == "h" else x * (y - 1)
-        self.via_base = eid
-        eid += x * y * max(0, layers - 1)
-        self.num_edges = eid
-
         capacity = []
-        for li in range(layers):
-            count = (x - 1) * y if layer_dirs[li] == "h" else x * (y - 1)
-            capacity.extend([layer_capacities[li]] * count)
-        capacity.extend([via_capacity] * (x * y * max(0, layers - 1)))
+        for li, (rows, cols) in enumerate(self.blocks):
+            self.pbase.append(len(capacity))
+            capacity.extend([layer_capacities[li]] * (rows * cols))
+        self.via_base = len(capacity)
+        capacity.extend([via_capacity] * math.prod(self.via_block))
         self.capacity = capacity
+        self.num_edges = len(capacity)
         self.demand = [0] * self.num_edges
         self.history = [0.0] * self.num_edges
+
+    @property
+    def via_block(self) -> tuple[int, int, int]:
+        return (self.layers - 1, self.y, self.x)
 
     # -- id helpers --------------------------------------------------------
 
@@ -103,28 +108,27 @@ class RoutingGraph:
 
     def planar_edge(self, layer0: int, gx: int, gy: int) -> int:
         """Edge from (gx,gy) toward +x on 'h' layers, +y on 'v' layers."""
-        if self.layer_dirs[layer0] == "h":
-            return self.pbase[layer0] + gy * (self.x - 1) + gx
-        return self.pbase[layer0] + gy * self.x + gx
+        return self.pbase[layer0] + gy * self.blocks[layer0][1] + gx
 
     def via_edge(self, layer0: int, gx: int, gy: int) -> int:
         """Edge between layer0 and layer0+1 at (gx, gy)."""
         return self.via_base + (layer0 * self.y + gy) * self.x + gx
 
+    def planar_layer(self, eid: int) -> int:
+        """The 0-based layer of planar edge ``eid``."""
+        return bisect.bisect_right(self.pbase, eid) - 1
+
     def edge_info(self, eid: int) -> tuple[str, int, int, int]:
         """Decode an edge id to (kind, layer0, gx, gy); kind is 'h'/'v'/'via'."""
+        if not 0 <= eid < self.num_edges:
+            raise ValueError(f"bad edge id {eid}")
         if eid >= self.via_base:
-            rel = eid - self.via_base
-            gx = rel % self.x
-            gy = (rel // self.x) % self.y
-            return "via", rel // (self.x * self.y), gx, gy
-        for li in range(self.layers - 1, -1, -1):
-            if eid >= self.pbase[li]:
-                rel = eid - self.pbase[li]
-                if self.layer_dirs[li] == "h":
-                    return "h", li, rel % (self.x - 1), rel // (self.x - 1)
-                return "v", li, rel % self.x, rel // self.x
-        raise ValueError(f"bad edge id {eid}")
+            li, rel = divmod(eid - self.via_base, self.x * self.y)
+            gy, gx = divmod(rel, self.x)
+            return "via", li, gx, gy
+        li = self.planar_layer(eid)
+        gy, gx = divmod(eid - self.pbase[li], self.blocks[li][1])
+        return self.layer_dirs[li], li, gx, gy
 
     def edge_endpoints(self, eid: int) -> tuple[int, int]:
         kind, li, gx, gy = self.edge_info(eid)
@@ -201,8 +205,9 @@ def _edge_ratio(demand, capacity) -> np.ndarray:
 class CongestionMap:
     """Per-layer demand/capacity matrices plus via matrices.
 
-    Planar matrices are shaped (Y, X-1) for 'h' layers and (Y-1, X) for 'v'
-    layers; via matrices are (L-1, Y, X).
+    Each layer's matrices have its ``RoutingGraph.blocks`` shape and the via
+    matrices the graph's ``via_block`` shape, so that edge (gx, gy) of a
+    layer is element ``[gy, gx]``.
     """
 
     layer_dirs: tuple[str, ...]
@@ -240,19 +245,11 @@ def build_congestion_map(graph: RoutingGraph) -> CongestionMap:
     cap = np.asarray(graph.capacity, dtype=np.int64)
     layer_demand = []
     layer_capacity = []
-    for li in range(graph.layers):
-        base = graph.pbase[li]
-        if graph.layer_dirs[li] == "h":
-            shape = (graph.y, graph.x - 1)
-        else:
-            shape = (graph.y - 1, graph.x)
-        count = shape[0] * shape[1]
-        layer_demand.append(dem[base:base + count].reshape(shape))
-        layer_capacity.append(cap[base:base + count].reshape(shape))
-    nv = graph.x * graph.y * max(0, graph.layers - 1)
-    via_shape = (max(0, graph.layers - 1), graph.y, graph.x)
-    via_demand = dem[graph.via_base:graph.via_base + nv].reshape(via_shape)
-    via_capacity = cap[graph.via_base:graph.via_base + nv].reshape(via_shape)
+    for base, (rows, cols) in zip(graph.pbase, graph.blocks):
+        layer_demand.append(dem[base:base + rows * cols].reshape(rows, cols))
+        layer_capacity.append(cap[base:base + rows * cols].reshape(rows, cols))
+    via_demand = dem[graph.via_base:].reshape(graph.via_block)
+    via_capacity = cap[graph.via_base:].reshape(graph.via_block)
     return CongestionMap(
         layer_dirs=graph.layer_dirs,
         layer_demand=layer_demand,
@@ -331,10 +328,11 @@ class _Scratch:
     plus the grid's per-node tables, built once per routing call.
 
     ``nx``/``ny``/``nz`` give each node's coordinates, ``pplus`` the id of
-    its planar edge toward +x ('h' layers) or +y ('v' layers), -1 at the
-    border, and ``horiz`` flags the 'h' layers.  A node's -direction planar
-    edge is ``pplus`` of its -direction neighbour; its via edges are
-    ``via_base + u - X*Y`` (down) and ``via_base + u`` (up).
+    its planar edge toward +x ('h' layers) or +y ('v' layers), -1 where its
+    layer's block has no such edge, and ``horiz`` flags the 'h' layers.  A
+    node's -direction planar edge is ``pplus`` of its -direction neighbour;
+    its via edges are ``via_base + u - X*Y`` (down) and ``via_base + u``
+    (up).
     """
 
     __slots__ = ("g", "stamp", "closed_stamp", "parent_node", "parent_edge", "gen",
@@ -353,11 +351,11 @@ class _Scratch:
         self.nx = list(range(x_dim)) * (y_dim * layers)
         self.ny = [gy for _ in range(layers) for gy in range(y_dim) for _ in range(x_dim)]
         self.nz = [z for z in range(layers) for _ in range(x_dim * y_dim)]
-        self.horiz = horiz = [d == "h" for d in graph.layer_dirs]
+        self.horiz = [d == "h" for d in graph.layer_dirs]
         self.pplus = [
-            graph.planar_edge(z, gx, gy)
-            if (gx < x_dim - 1 if horiz[z] else gy < y_dim - 1) else -1
-            for z in range(layers) for gy in range(y_dim) for gx in range(x_dim)
+            graph.planar_edge(z, gx, gy) if gx < cols and gy < rows else -1
+            for z, (rows, cols) in enumerate(graph.blocks)
+            for gy in range(y_dim) for gx in range(x_dim)
         ]
 
 
@@ -697,9 +695,10 @@ def route(
 ) -> tuple[list[NetRoute], CongestionMap]:
     """Route every multi-terminal net of a placed netlist.
 
-    Dangling (single-terminal) nets are skipped with a warning and appear in
-    the result with an empty edge set.  Deterministic: the result depends
-    only on the netlist, the placement, the graph and ``params``.
+    Dangling (single-terminal) nets are skipped with a warning, the one
+    place that reports them, and appear in the result with an empty edge
+    set.  Deterministic: the result depends only on the netlist, the
+    placement, the graph and ``params``.
     """
     work: list[tuple[str, list[list[int]]]] = []
     skipped: list[str] = []

@@ -48,14 +48,14 @@ def wire_power_mw(routes: list[NetRoute], graph: RoutingGraph, power: PowerParam
 
     Linear in activity and frequency, quadratic in supply voltage.
     """
+    if graph.fabric is None:
+        raise MetricsError("graph carries no fabric; wire RC is unknown")
+    caps = [graph.gcell_um * layer.cap_per_um for layer in graph.fabric.layers]
     total_cap_ff = 0.0
     for route in routes:
         for e in route.edges:
-            if graph.fabric is None:
-                raise MetricsError("graph carries no fabric; wire RC is unknown")
-            kind, li, _, _ = graph.edge_info(e)
-            if kind != "via":
-                total_cap_ff += graph.gcell_um * graph.fabric.layers[li].cap_per_um
+            if e < graph.via_base:
+                total_cap_ff += caps[graph.planar_layer(e)]
     v = power.supply_voltage
     return power.switching_activity * power.clock_freq_ghz * v * v * total_cap_ff * 1e-3
 

@@ -72,25 +72,6 @@ class Netlist:
         return sum(len(net.terminals) for net in self.nets)
 
 
-def structurally_equal(a: Netlist, b: Netlist) -> bool:
-    """Equality over connectivity and pin interfaces, ignoring name/geometry."""
-    if len(a.cells) != len(b.cells) or len(a.nets) != len(b.nets):
-        return False
-    if set(a.masters) != set(b.masters):
-        return False
-    for name, ma in a.masters.items():
-        mb = b.masters[name]
-        if [(p.name, p.direction) for p in ma.pins] != [(p.name, p.direction) for p in mb.pins]:
-            return False
-    for ca, cb in zip(a.cells, b.cells):
-        if (ca.id, ca.master, ca.is_sequential) != (cb.id, cb.master, cb.is_sequential):
-            return False
-    for na, nb in zip(a.nets, b.nets):
-        if (na.id, na.terminals, na.driver) != (nb.id, nb.terminals, nb.driver):
-            return False
-    return True
-
-
 def _pin_direction(name: str) -> str:
     return "output" if name.lower() in OUTPUT_PIN_NAMES else "input"
 
@@ -214,71 +195,45 @@ def serialize_netlist(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ValidationEntry:
-    severity: str  # 'error' or 'warning'
-    message: str
-
-
-@dataclass
-class ValidationReport:
-    entries: list[ValidationEntry] = field(default_factory=list)
-
-    def add(self, severity: str, message: str) -> None:
-        self.entries.append(ValidationEntry(severity, message))
-
-    @property
-    def errors(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if e.severity == "error"]
-
-    @property
-    def warnings(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if e.severity == "warning"]
-
-    def __bool__(self) -> bool:  # truthy when clean
-        return not self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def validate(netlist: Netlist) -> ValidationReport:
-    """Check structural invariants. Errors break the model; dangling nets warn."""
-    report = ValidationReport()
+def validate(netlist: Netlist) -> list[str]:
+    """The structural errors of a netlist, such as one built in code: a
+    repeated cell or net id, an unknown master, cell or pin, a net without
+    terminals or with a repeated one, and a driver index out of range.
+    Empty for a consistent netlist.  A dangling (single-terminal) net is no
+    error: ``globalroute.route`` skips it with a warning."""
+    errors = []
     seen_cells: set[str] = set()
     for cell in netlist.cells:
         if cell.id in seen_cells:
-            report.add("error", f"duplicate cell id {cell.id!r}")
+            errors.append(f"duplicate cell id {cell.id!r}")
         seen_cells.add(cell.id)
         if cell.master not in netlist.masters:
-            report.add("error", f"cell {cell.id!r} references unknown master {cell.master!r}")
+            errors.append(f"cell {cell.id!r} references unknown master {cell.master!r}")
 
     by_id = {c.id: c for c in netlist.cells}
     seen_nets: set[str] = set()
     for net in netlist.nets:
         if net.id in seen_nets:
-            report.add("error", f"duplicate net id {net.id!r}")
+            errors.append(f"duplicate net id {net.id!r}")
         seen_nets.add(net.id)
         if not net.terminals:
-            report.add("error", f"net {net.id!r} has no terminals")
+            errors.append(f"net {net.id!r} has no terminals")
             continue
-        if len(net.terminals) == 1:
-            report.add("warning", f"dangling net {net.id!r} (single terminal)")
         seen_terms: set[tuple[str, str]] = set()
         for cid, pin in net.terminals:
             cell = by_id.get(cid)
             if cell is None:
-                report.add("error", f"net {net.id!r} references unknown cell {cid!r}")
+                errors.append(f"net {net.id!r} references unknown cell {cid!r}")
                 continue
             master = netlist.masters.get(cell.master)
             if master is not None and all(p.name != pin for p in master.pins):
-                report.add("error", f"net {net.id!r}: no pin {pin!r} on master {cell.master!r}")
+                errors.append(f"net {net.id!r}: no pin {pin!r} on master {cell.master!r}")
             if (cid, pin) in seen_terms:
-                report.add("error", f"net {net.id!r} repeats terminal {cid}.{pin}")
+                errors.append(f"net {net.id!r} repeats terminal {cid}.{pin}")
             seen_terms.add((cid, pin))
         if net.driver is not None and not 0 <= net.driver < len(net.terminals):
-            report.add("error", f"net {net.id!r} driver index {net.driver} out of range")
-    return report
+            errors.append(f"net {net.id!r} driver index {net.driver} out of range")
+    return errors
 
 
 @dataclass(frozen=True)

@@ -400,21 +400,24 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
     return best_cost
 
 
-def overlap_violations(netlist: Netlist, placement: Placement) -> list[tuple[str, str]]:
-    """Pairs of cells whose footprints overlap (empty for legal placements)."""
-    rects = []
-    for cell in netlist.cells:
-        x, y = placement.assignments[cell.id]
-        m = netlist.masters[cell.master]
-        rects.append((cell.id, x, y, x + m.width, y + m.height))
-    bad = []
-    for i in range(len(rects)):
-        id1, ax0, ay0, ax1, ay1 = rects[i]
-        for j in range(i + 1, len(rects)):
-            id2, bx0, by0, bx1, by1 = rects[j]
-            if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
-                bad.append((id1, id2))
-    return bad
+def illegal_cell(netlist: Netlist, placement: Placement) -> tuple[str, str] | None:
+    """The first cell, in ``placement.assignments`` order, whose footprint
+    leaves the die or covers a site of an earlier cell, with the reason;
+    None for a legal placement.  One pass marks each cell's sites in an
+    occupancy grid."""
+    die = placement.die
+    owner: list[str | None] = [None] * die.area_sites
+    for cid, (x, y) in placement.assignments.items():
+        m = netlist.master_of(cid)
+        if x < 0 or y < 0 or x + m.width > die.width or y + m.height > die.height:
+            return cid, (f"cell {cid!r} at ({x},{y}) does not fit in the "
+                         f"{die.width}x{die.height} die")
+        for row in range(y * die.width, (y + m.height) * die.width, die.width):
+            for site in range(row + x, row + x + m.width):
+                if owner[site] is not None:
+                    return cid, f"cell {cid!r} overlaps cell {owner[site]!r}"
+                owner[site] = cid
+    return None
 
 
 def pin_density_of(placement: Placement, netlist: Netlist, fabric: FabricSpec) -> PinDensityInput:

@@ -106,7 +106,7 @@ def compare_demand(
             raise ValueError(f"label {label!r} names two designs")
         estimates[label] = demand_estimate(inp, params)
     if baseline_label not in estimates:
-        raise KeyError(f"baseline {baseline_label!r} not among designs")
+        raise ValueError(f"baseline {baseline_label!r} not among designs")
     base = estimates[baseline_label].demand
     if base == 0:
         raise ValueError(f"baseline {baseline_label!r} has zero demand")

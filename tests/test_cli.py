@@ -150,6 +150,13 @@ def test_analyze_missing_artifacts_exits_2(tmp_path, capsys):
     assert "run_meta" in capsys.readouterr().err
 
 
+def test_analyze_missing_baseline_exits_2(tmp_path, capsys):
+    dirs = make_runs(tmp_path, fabrics=("2d",))
+    capsys.readouterr()
+    assert run_cli("analyze", *dirs, "--baseline", "zzz") == 2
+    assert "baseline 'zzz' not among designs" in capsys.readouterr().err
+
+
 def test_analyze_writes_csv_file(tmp_path):
     dirs = make_runs(tmp_path, fabrics=("2d",))
     out = tmp_path / "demand.csv"

@@ -261,6 +261,19 @@ def test_load_reports_line_numbers():
     ("kind 2d\nlayer 3 pitch 20\n", 2),
     ("kind 2d\nlayer 3 r 2.0\n", 2),
     ("kind 2d\ncellpower M 1 0.1 900\n", 2),
+    # physical values must be finite and positive (cellpower values >= 0)
+    ("kind 2d\nlayer 2 c -1\n", 2),
+    ("kind 2d\nlayer 2 c nan\n", 2),
+    ("kind 2d\nvdd nan\n", 2),
+    ("kind 2d\nvdd inf\n", 2),
+    ("kind 2d\nsite nan\n", 2),
+    ("kind 2d\ncellpower M nan 0.1\n", 2),
+    # every directive but layer is given once
+    ("kind 2d\nvdd 0.8\nvdd 0.7\n", 3),
+    ("kind 2d\nsite 40\nsite 40\n", 3),
+    ("kind s3dc\npin_layers 5\npin_layers 5\n", 3),
+    ("kind 2d\naccess_layers 1\nvdd 0.8\naccess_layers 2\n", 4),
+    ("kind 2d\ncellpower M 1 0.1\ncellpower N 1 0.1\ncellpower M 2 0.1\n", 4),
 ])
 def test_fabric_config_errors_name_their_line(tmp_path, capsys, text, lineno):
     with pytest.raises(fab.FabricConfigError, match=f"^line {lineno}: "):

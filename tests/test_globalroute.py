@@ -331,13 +331,15 @@ def test_routed_netlist_trees_are_valid():
             assert nodes & set(entry)  # every terminal reachable at an access
 
 
-def test_route_skips_dangling_nets():
+def test_route_skips_dangling_nets(caplog):
     d = tiny_netlist(3, [(0, 1), (2,)])
     fabric = fab.builtin_fabric("2d")
     die = Die(12, 12, fabric.site_dim_nm, 0.6)
     placed = pl.Placement({"c0": (0, 0), "c1": (8, 8), "c2": (4, 4)}, die)
     graph = gr.build_grid(fabric, die, 4)
-    routes, _ = gr.route(d, placed, graph)
+    with caplog.at_level("WARNING", logger="routekit.globalroute"):
+        routes, _ = gr.route(d, placed, graph)
+    assert "skipping 1 dangling net(s): n1" in caplog.text
     assert len(routes) == 2
     assert routes[1].edges == ()
     assert len(routes[0].edges) > 0

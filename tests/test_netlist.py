@@ -83,13 +83,13 @@ master NAND3 pins A B C OUT
 def test_roundtrip_structural_equality():
     d = nl.parse_netlist(MINIMAL)
     again = nl.parse_netlist(nl.serialize_netlist(d))
-    assert nl.structurally_equal(d, again)
+    assert again == d
 
 
 def test_roundtrip_generated(synth_1024):
     text = nl.serialize_netlist(synth_1024)
-    again = nl.parse_netlist(text)
-    assert nl.structurally_equal(synth_1024, again)
+    again = nl.parse_netlist(text, name=synth_1024.name)
+    assert again == synth_1024
     assert nl.serialize_netlist(again) == text
 
 
@@ -108,39 +108,33 @@ def test_roundtrip_property(cells, rent_exponent, pins_per_cell, sequential_frac
 
 
 def test_validate_clean_netlist_is_empty():
-    report = nl.validate(nl.parse_netlist(MINIMAL))
-    assert bool(report)
-    assert len(report) == 0
+    assert nl.validate(nl.parse_netlist(MINIMAL)) == []
 
 
-def test_validate_flags_dangling_net():
+def test_validate_passes_dangling_net():
+    # the router reports dangling nets (test_route_skips_dangling_nets)
     d = nl.parse_netlist(MINIMAL + "net n2 c1.B\n")
-    report = nl.validate(d)
-    assert len(report.errors) == 0
-    assert any("dangling" in w.message for w in report.warnings)
+    assert nl.validate(d) == []
 
 
 def test_validate_flags_duplicate_net_id():
     d = nl.parse_netlist(MINIMAL)
     d.nets.append(nl.Net(id="n1", terminals=[("c1", "A"), ("c2", "B")]))
-    report = nl.validate(d)
-    assert any("duplicate net id" in e.message for e in report.errors)
+    assert any("duplicate net id" in e for e in nl.validate(d))
 
 
 def test_validate_flags_unknown_references():
     d = nl.parse_netlist(MINIMAL)
     d.nets.append(nl.Net(id="nx", terminals=[("ghost", "A")]))
     d.cells.append(nl.CellInstance(id="c9", master="ghostmaster"))
-    report = nl.validate(d)
-    msgs = " | ".join(e.message for e in report.errors)
+    msgs = " | ".join(nl.validate(d))
     assert "ghost" in msgs and "ghostmaster" in msgs
 
 
 def test_validate_flags_bad_driver_index():
     d = nl.parse_netlist(MINIMAL)
     d.nets[0].driver = 5
-    report = nl.validate(d)
-    assert any("driver index" in e.message for e in report.errors)
+    assert any("driver index" in e for e in nl.validate(d))
 
 
 # --- synthetic generator
@@ -167,7 +161,7 @@ def test_generator_deterministic():
 def test_generator_seed_changes_output():
     a = nl.generate_synthetic(nl.SynthesisParams(num_cells=256, seed=1))
     b = nl.generate_synthetic(nl.SynthesisParams(num_cells=256, seed=2))
-    assert not nl.structurally_equal(a, b)
+    assert nl.serialize_netlist(a) != nl.serialize_netlist(b)
 
 
 def test_generator_terminal_budget(synth_1024):

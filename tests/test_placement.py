@@ -200,11 +200,8 @@ def test_place_legal_on_random_netlists():
             die = pl.size_die(bound, fabric, 0.6)
             placed = pl.place(bound, fabric, die, seed=trial,
                               config=pl.AnnealConfig(moves_per_temp=500, max_temps=10))
-            assert pl.overlap_violations(bound, placed) == []
-            for cid, (x, y) in placed.assignments.items():
-                m = bound.masters[bound.cell(cid).master]
-                assert 0 <= x and x + m.width <= die.width
-                assert 0 <= y and y + m.height <= die.height
+            assert set(placed.assignments) == {c.id for c in bound.cells}
+            assert pl.illegal_cell(bound, placed) is None
             checked += 1
     assert checked >= 100
 

@@ -144,7 +144,7 @@ def test_compare_demand_ordering_follows_pin_density():
 
 
 def test_compare_demand_missing_baseline():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="baseline 'zzz'"):
         rent.compare_demand([("a", rent.PinDensityInput(1, 1.0, 1))], P, "zzz")
 
 

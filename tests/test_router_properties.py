@@ -1,6 +1,7 @@
-"""Property tests for the router, on random small grids.
+"""Property tests for the router and its lattice, on random small grids.
 
-The table-driven A* search and the overflow bookkeeping of the reroute loop
+Edge ids, the congestion map and the wire metrics must agree on where every
+edge of the lattice lies.  The table-driven A* search and the overflow bookkeeping of the reroute loop
 must give exactly what the frozen references in ``router_reference.py``
 give, and routed nets must be trees whose usage accounts for every unit of
 demand.  The hypothesis profile is bounded and derandomised, so every run
@@ -13,7 +14,9 @@ import router_reference as ref
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from routekit import fabric as fab
 from routekit import globalroute as gr
+from routekit import metrics
 
 BOUNDED = settings(
     derandomize=True,
@@ -156,3 +159,59 @@ def test_routes_are_trees_and_account_for_demand(graph, rnd, nnets, seed_overflo
     overflowed = sum(d > c for d, c in zip(graph.demand, graph.capacity))
     assert cmap.overflow_edge_count == overflowed
     assert cmap.congested == (overflowed > 0)
+
+
+# --- the lattice's edge blocks
+
+
+@settings(BOUNDED, max_examples=200)
+@given(graph=grids(), data=st.data())
+def test_lattice_edge_ids_map_and_metrics_agree(graph, data):
+    nnodes = graph.x * graph.y * graph.layers
+    for e in range(graph.num_edges):
+        kind, li, gx, gy = graph.edge_info(e)
+        if kind == "via":
+            assert li + 1 < graph.layers and gx < graph.x and gy < graph.y
+            assert graph.via_edge(li, gx, gy) == e
+        else:
+            assert kind == graph.layer_dirs[li]
+            assert gx + (kind == "h") < graph.x and gy + (kind == "v") < graph.y
+            assert graph.planar_edge(li, gx, gy) == e
+        assert 0 <= graph.node_id(gx, gy, li) < nnodes
+        graph.demand[e] = e + 1
+
+    cmap = gr.build_congestion_map(graph)
+    assert sum(d.size for d in cmap.layer_demand) + cmap.via_demand.size == graph.num_edges
+    for e in range(graph.num_edges):
+        kind, li, gx, gy = graph.edge_info(e)
+        if kind == "via":
+            dem, cap = cmap.via_demand[li], cmap.via_capacity[li]
+        else:
+            dem, cap = cmap.layer_demand[li], cmap.layer_capacity[li]
+        assert dem[gy, gx] == e + 1
+        assert cap[gy, gx] == graph.capacity[e]
+
+    caps = data.draw(st.lists(st.floats(0.01, 5.0), min_size=graph.layers,
+                              max_size=graph.layers))
+    graph.fabric = fab.FabricSpec(
+        kind=fab.FabricKind.PLANAR_2D,
+        layers=tuple(fab.RoutingLayer(li + 1, d, fab.DEFAULT_EDGE_CAPACITY, c)
+                     for li, (d, c) in enumerate(zip(graph.layer_dirs, caps))),
+        supply_voltage=0.8, site_dim_nm=graph.site_dim_nm, access_layer_ids=(1,),
+    )
+    edge_lists = data.draw(st.lists(
+        st.lists(st.integers(0, graph.num_edges - 1), max_size=12), max_size=4))
+    routes = [gr.NetRoute(f"n{i}", tuple(edges)) for i, edges in enumerate(edge_lists)]
+    planar = 0
+    cap_ff = 0.0
+    for route in routes:
+        for e in route.edges:
+            kind, li, _, _ = graph.edge_info(e)
+            if kind != "via":
+                planar += 1
+                cap_ff += graph.gcell_um * caps[li]
+    power = metrics.PowerParams()
+    v = power.supply_voltage
+    expected = power.switching_activity * power.clock_freq_ghz * v * v * cap_ff * 1e-3
+    assert metrics.wire_power_mw(routes, graph, power) == expected
+    assert metrics.total_wirelength_mm(routes, graph) == planar * graph.gcell_um / 1000.0
