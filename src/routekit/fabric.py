@@ -25,18 +25,6 @@ class FabricKind(str, enum.Enum):
     S3DC = "s3dc"
 
 
-_KIND_ALIASES = {
-    "2d": FabricKind.PLANAR_2D,
-    "planar2d": FabricKind.PLANAR_2D,
-    "planar_2d": FabricKind.PLANAR_2D,
-    "tmi": FabricKind.TMI,
-    "t-mi": FabricKind.TMI,
-    "transistormonolithic3d": FabricKind.TMI,
-    "s3dc": FabricKind.S3DC,
-    "skybridge": FabricKind.S3DC,
-    "skybridges3dc": FabricKind.S3DC,
-}
-
 # Per-fabric defaults.  Gcell-edge capacity is deliberately equal across
 # fabrics so congestion differences come from pin density and layer count,
 # not from hand-tuned track budgets.
@@ -96,16 +84,15 @@ class RoutingLayer:
 class CellEnergyEntry:
     """Per-master characterization data used by the power model."""
 
-    master: str
     internal_fj: float  # internal energy per output toggle
     pin_cap_ff: float  # capacitance of one input pin
 
     def __post_init__(self):
         if not (0 <= self.internal_fj < math.inf and 0 <= self.pin_cap_ff < math.inf):
-            raise FabricConfigError(f"cellpower {self.master}: values must be finite and >= 0")
+            raise FabricConfigError("cellpower values must be finite and >= 0")
 
 
-DEFAULT_CELL_ENERGY = CellEnergyEntry("default", internal_fj=1.0, pin_cap_ff=0.1)
+DEFAULT_CELL_ENERGY = CellEnergyEntry(internal_fj=1.0, pin_cap_ff=0.1)
 
 
 @dataclass(frozen=True)
@@ -207,11 +194,10 @@ class CellMaster:
 
 
 def normalize_kind(token: str | FabricKind) -> FabricKind:
-    if isinstance(token, FabricKind):
-        return token
+    """The kind named ``2d``, ``tmi`` or ``s3dc``, ignoring case and surrounding spaces."""
     try:
-        return _KIND_ALIASES[token.strip().lower()]
-    except KeyError:
+        return FabricKind(token.strip().lower())
+    except ValueError:
         raise FabricConfigError(f"unknown fabric kind: {token!r}") from None
 
 
@@ -317,25 +303,23 @@ def load_fabric(text: str) -> FabricSpec:
 
         kind s3dc
         layer 5 dir h cap 12 c 0.2
-        pin_layers 5
         access_layers 2 3 4 5 6
         vdd 0.8
         site 40
         cellpower NAND3 1.2 0.08
 
     Unspecified fields fall back to the builtin defaults for the declared
-    kind.  Each directive is given once (``cellpower`` once per master),
-    except ``layer``: its lines may partially override an existing layer or
-    append the next index; gaps are rejected.  Values must be finite, with
-    ``c``, ``vdd`` and ``site`` positive and ``cellpower`` values >= 0.
-    ``pin_layers`` states only N (the kind's N by default): ``access_layers``
-    must list exactly N layers, and without it the access layers are N
-    consecutive layers from the kind's lowest one.  The cell footprint
-    follows ``site``.  Every error but a missing ``kind`` names its line.
+    kind.  Each directive is given once (``layer`` once per index,
+    ``cellpower`` once per master).  A ``layer`` line overrides the given
+    attributes of a builtin layer or appends the next index; gaps are
+    rejected.  Values must be finite, with ``c``, ``vdd`` and ``site``
+    positive and ``cellpower`` values >= 0.  ``access_layers`` lists the
+    pin-access layers, so N is its length; without it the kind's builtin
+    access layers apply.  The cell footprint follows ``site``.  Every error
+    but a missing ``kind`` names its line.
     """
-    first: dict[str, int] = {}  # directive ('cellpower <master>' per master) -> first line
-    overrides: dict[int, tuple[int, RoutingLayer]] = {}  # index -> (first line, layer)
-    pin_layers = None
+    first: dict[str, int] = {}  # directive ('layer <index>', 'cellpower <master>') -> line
+    overrides: dict[int, tuple[int, RoutingLayer]] = {}  # index -> (line, layer)
     access_ids = None
     changes: list[tuple[int, str, float]] = []  # (line, FabricSpec field, value)
     energy: dict[str, CellEnergyEntry] = {}
@@ -347,10 +331,12 @@ def load_fabric(text: str) -> FabricSpec:
         toks = line.split()
         key = toks[0].lower()
         try:
-            directive = f"{key} {toks[1]}" if key == "cellpower" else key
-            if directive in first and key != "layer":
+            directive = key
+            if key in ("layer", "cellpower"):  # given once per index or master
+                directive = f"{key} {int(toks[1]) if key == 'layer' else toks[1]}"
+            if directive in first:
                 raise FabricConfigError(f"{directive} already declared on line {first[directive]}")
-            first.setdefault(directive, lineno)
+            first[directive] = lineno
             if key == "kind":
                 (token,) = toks[1:]
                 kind = normalize_kind(token)
@@ -371,11 +357,7 @@ def load_fabric(text: str) -> FabricSpec:
                     i += 2
                 if i != len(toks):
                     raise FabricConfigError("layer attributes must be key/value pairs")
-                line0, layer = overrides.get(idx, (lineno, None))
-                overrides[idx] = (line0, replace(layer or _default_layer(idx), **ov))
-            elif key == "pin_layers":
-                (value,) = toks[1:]
-                pin_layers = int(value)
+                overrides[idx] = (lineno, replace(_default_layer(idx), **ov))
             elif key == "access_layers":
                 access_ids = tuple(int(t) for t in toks[1:])
             elif key in ("vdd", "site"):
@@ -384,7 +366,7 @@ def load_fabric(text: str) -> FabricSpec:
                 changes.append((lineno, name, float(value)))
             elif key == "cellpower":
                 master, internal_fj, pin_cap_ff = toks[1:]
-                energy[master] = CellEnergyEntry(master, float(internal_fj), float(pin_cap_ff))
+                energy[master] = CellEnergyEntry(float(internal_fj), float(pin_cap_ff))
             else:
                 raise FabricConfigError(f"unknown directive {toks[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -407,13 +389,7 @@ def load_fabric(text: str) -> FabricSpec:
         spec = replace(base, layers=tuple(layers[i] for i in sorted(layers)), cell_energy=energy)
         for lineno, name, value in changes:
             spec = replace(spec, **{name: value})
-        lineno = first.get("access_layers") or first.get("pin_layers")
-        n = base.pin_access_layers if pin_layers is None else pin_layers
-        if access_ids is None:
-            start = base.access_layer_ids[0]
-            access_ids = tuple(range(start, start + n))
-        elif len(access_ids) != n:
-            raise FabricConfigError(f"access_layers lists {len(access_ids)} layers, not N = {n}")
-        return replace(spec, access_layer_ids=access_ids)
+        lineno = first.get("access_layers")
+        return spec if access_ids is None else replace(spec, access_layer_ids=access_ids)
     except FabricConfigError as exc:
         raise FabricConfigError(f"line {lineno}: {exc}") from None

@@ -54,8 +54,6 @@ class JobSpec:
     cells: int | None = _option(None, "generate", "generate a synthetic netlist of this size")
     rent: float = _option(nl.SynthesisParams.rent_exponent, "generate", "Rent exponent")
     pins: float = _option(nl.SynthesisParams.avg_pins_per_cell, "generate", "pins per cell")
-    seq_fraction: float = _option(nl.SynthesisParams.sequential_fraction, "generate",
-                                  "fraction of sequential cells")
     seed: int = _option(nl.SynthesisParams.seed, "generate", "seed of generation and placement")
     utilization: float = _option(inspect.signature(pl.size_die).parameters["utilization"].default,
                                  "place", "die utilization")
@@ -127,8 +125,7 @@ def load_design(spec: JobSpec) -> nl.Netlist:
     if spec.netlist:
         return read_netlist(Path(spec.netlist))
     return nl.generate_synthetic(nl.SynthesisParams(
-        num_cells=spec.cells, rent_exponent=spec.rent, avg_pins_per_cell=spec.pins,
-        sequential_fraction=spec.seq_fraction, seed=spec.seed,
+        num_cells=spec.cells, rent_exponent=spec.rent, avg_pins_per_cell=spec.pins, seed=spec.seed,
     ))
 
 

@@ -48,6 +48,10 @@ STAGNATION_MIN_NETS = 128  # smaller reroute batches are cheap; let them run
 class RouteParams:
     max_iters: int = 40
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+
 
 class RoutingGraph:
     """Gcell lattice with per-edge capacity/demand/history arrays.
@@ -75,6 +79,9 @@ class RoutingGraph:
             raise ValueError("grid dimensions must be positive")
         if via_capacity < 1:
             raise ValueError("via capacity must be >= 1")
+        if not len(layer_dirs) == len(layer_capacities) == layers:
+            raise ValueError(f"layer_dirs and layer_capacities need {layers} entries each, "
+                             f"got {len(layer_dirs)} and {len(layer_capacities)}")
         self.x = x
         self.y = y
         self.layers = layers
@@ -721,6 +728,8 @@ def congestion_csv(cmap: CongestionMap, layer: int) -> str:
 
     Via edges between this layer and the next appear as ``dir=via`` rows.
     """
+    if not 1 <= layer <= len(cmap.layer_dirs):
+        raise ValueError(f"layer {layer} outside 1..{len(cmap.layer_dirs)}")
     li = layer - 1
     lines = ["layer,x,y,dir,demand,capacity,ratio"]
     grids = [(cmap.layer_dirs[li], cmap.layer_demand[li], cmap.layer_capacity[li])]

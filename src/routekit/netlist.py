@@ -47,7 +47,6 @@ class CellInstance:
 class Net:
     id: str
     terminals: list[tuple[str, str]]  # (cell id, pin name)
-    driver: int | None = None  # index into terminals
 
 
 @dataclass
@@ -171,13 +170,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 raise NetlistParseError(f"net {nid!r} repeats terminal {tok!r}", lineno, col)
             seen.add((cid, pin))
             terminals.append((cid, pin))
-        out_idx = [
-            i
-            for i, (cid, pin) in enumerate(terminals)
-            if masters[by_id[cid].master].pin(pin).direction == "output"
-        ]
-        driver = out_idx[0] if len(out_idx) == 1 else None
-        nets.append(Net(id=nid, terminals=terminals, driver=driver))
+        nets.append(Net(id=nid, terminals=terminals))
 
     return Netlist(name=name, masters=masters, cells=cells, nets=nets)
 
@@ -198,9 +191,9 @@ def serialize_netlist(netlist: Netlist) -> str:
 def validate(netlist: Netlist) -> list[str]:
     """The structural errors of a netlist, such as one built in code: a
     repeated cell or net id, an unknown master, cell or pin, a net without
-    terminals or with a repeated one, and a driver index out of range.
-    Empty for a consistent netlist.  A dangling (single-terminal) net is no
-    error: ``globalroute.route`` skips it with a warning."""
+    terminals or with a repeated one.  Empty for a consistent netlist.  A
+    dangling (single-terminal) net is no error: ``globalroute.route`` skips
+    it with a warning."""
     errors = []
     seen_cells: set[str] = set()
     for cell in netlist.cells:
@@ -231,8 +224,6 @@ def validate(netlist: Netlist) -> list[str]:
             if (cid, pin) in seen_terms:
                 errors.append(f"net {net.id!r} repeats terminal {cid}.{pin}")
             seen_terms.add((cid, pin))
-        if net.driver is not None and not 0 <= net.driver < len(net.terminals):
-            errors.append(f"net {net.id!r} driver index {net.driver} out of range")
     return errors
 
 
@@ -241,7 +232,6 @@ class SynthesisParams:
     num_cells: int
     rent_exponent: float = 0.75
     avg_pins_per_cell: float = 3.0
-    sequential_fraction: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -253,8 +243,6 @@ class SynthesisParams:
             raise ValueError("rent_exponent must lie in (0.5, 1.0)")
         if self.avg_pins_per_cell < 2:
             raise ValueError("avg_pins_per_cell must be >= 2")
-        if not 0.0 <= self.sequential_fraction <= 1.0:
-            raise ValueError("sequential_fraction must lie in [0, 1]")
 
 
 def _sample_arity(rng: random.Random) -> int:
@@ -344,10 +332,10 @@ def generate_synthetic(params: SynthesisParams) -> Netlist:
             break
         amp /= ratio**0.7
     assert net_cells is not None
-    rng = random.Random(params.seed + 0x5EED)  # post-construction draws
 
     # One output pin per cell; the first net to claim a cell's output drives
-    # that net, every other terminal lands on a fresh input pin.
+    # that net, every other terminal lands on a fresh input pin.  A driven
+    # net lists its driver first.
     driven_by: list[int | None] = [None] * n
     driver_cell: list[int | None] = [None] * len(net_cells)
     for net_idx, hosts in enumerate(net_cells):
@@ -379,20 +367,9 @@ def generate_synthetic(params: SynthesisParams) -> Netlist:
         name = f"g{k}"
         masters[name] = _unbound_master(name, ["o"] + [f"i{i}" for i in range(1, k + 1)])
 
-    cells = [
-        CellInstance(
-            id=f"c{i}",
-            master=f"g{input_count[i]}",
-            is_sequential=rng.random() < params.sequential_fraction,
-        )
-        for i in range(n)
-    ]
+    cells = [CellInstance(id=f"c{i}", master=f"g{input_count[i]}") for i in range(n)]
     nets = [
-        Net(
-            id=f"n{j}",
-            terminals=[(f"c{c}", pin) for c, pin in terms],
-            driver=0 if terms[0][1] == "o" else None,
-        )
+        Net(id=f"n{j}", terminals=[(f"c{c}", pin) for c, pin in terms])
         for j, terms in enumerate(net_terminals)
     ]
     name = f"synth{n}_r{params.rent_exponent:g}_s{params.seed}"

@@ -167,6 +167,14 @@ class AnnealConfig:
     max_temps: int = 150
     restarts: int = 1
 
+    def __post_init__(self):
+        if self.moves_per_temp is not None and self.moves_per_temp < 1:
+            raise ValueError(f"moves_per_temp must be >= 1, got {self.moves_per_temp}")
+        if self.max_temps < 0:
+            raise ValueError(f"max_temps must be >= 0, got {self.max_temps}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+
 
 def place(
     netlist: Netlist,
@@ -195,7 +203,7 @@ def place(
     rng = random.Random(seed)
     best_slots: list[int] | None = None
     best_cost = math.inf
-    for _ in range(max(1, cfg.restarts)):
+    for _ in range(cfg.restarts):
         slots = rng.sample(range(nslots), n)
         cost = _anneal(
             slots, nslots, slot_x, slot_y, net_terms, tables, rng,

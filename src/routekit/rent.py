@@ -13,7 +13,6 @@ counts against block sizes.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -139,7 +138,6 @@ def demand_table_csv(rows: list[DemandRow]) -> str:
 @dataclass(frozen=True)
 class RentFit:
     exponent: float
-    intercept: float  # fitted A in E = A * G**r
     levels: tuple[tuple[float, float], ...]  # (mean block size, mean external nets)
 
 
@@ -221,5 +219,5 @@ def fit_rent_exponent(netlist, seed: int = 0) -> RentFit:
         raise ValueError("not enough bipartition levels to fit an exponent")
     logg = np.log([p[0] for p in points])
     loge = np.log([p[1] for p in points])
-    slope, intercept = np.polyfit(logg, loge, 1)
-    return RentFit(exponent=float(slope), intercept=float(math.exp(intercept)), levels=tuple(points))
+    slope, _ = np.polyfit(logg, loge, 1)
+    return RentFit(exponent=float(slope), levels=tuple(points))

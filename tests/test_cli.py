@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 import shutil
@@ -446,3 +447,63 @@ def test_route_rejects_missing_placement_line(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("route", out) == 2
     assert f"placement.csv: cell {cid!r} has no line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value, key", [
+    ("route", "--max-iters", -1, "max_iters"),
+    ("run", "--max-iters", -1, "max_iters"),
+    ("run", "--moves-per-temp", 0, "moves_per_temp"),
+    ("run", "--max-temps", -1, "max_temps"),
+])
+def test_out_of_range_run_option_exits_2_naming_it(tmp_path, capsys, command, flag, value, key):
+    out = _placed_dir(tmp_path)
+    if command == "run":
+        out = tmp_path / "run"
+        target = ["--netlist", tmp_path / "n.net", *FAST, "-o", out]
+    else:
+        target = [out]
+    capsys.readouterr()
+    assert run_cli(command, *target, flag, value) == 2
+    assert f"{key} must be >= " in capsys.readouterr().err
+    assert not (out / "routes.txt").exists()
+
+
+# Every run option must change an artifact that a later stage reads, and not
+# only its own echo in run_meta.json.  A new JobSpec field fails the test
+# until it is given a value here or exempted with a reason.
+GUARD_BASE = {"fabric": "tmi", "cells": 200, "moves_per_temp": 100, "max_temps": 5,
+              "gcell": 6, "max_iters": 5, "label": "x"}  # a congested job
+GUARD_VALUES = {"fabric": "s3dc", "rent": 0.6, "pins": 4.0, "seed": 2, "utilization": 0.5,
+                "moves_per_temp": 200, "max_temps": 10, "gcell": 4, "max_iters": 1,
+                "freq": 2.0, "activity": 0.1}
+GUARD_EXEMPT = {"netlist", "cells", "label"}  # the design source and the report's name
+META_ECHO = {"fabric": "fabric", "seed": "seed", "utilization": "utilization", "gcell": "gcell",
+             "freq": "freq_ghz", "activity": "activity"}
+
+
+def _flags(options):
+    return [a for k, v in options.items() for a in (f"--{k.replace('_', '-')}", v)]
+
+
+def _guard_artifacts(out, echo):
+    names = ["placement.csv", "routes.txt", "report.csv"]
+    names += sorted(p.name for p in out.glob("congestion_L*.csv"))
+    meta = json.loads((out / "run_meta.json").read_text())
+    meta.pop(echo, None)
+    return {name: (out / name).read_text() for name in names}, meta
+
+
+@pytest.fixture(scope="module")
+def guard_base_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("guard")
+    assert run_cli("run", *_flags(GUARD_BASE), "-o", out) == 3
+    return out
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(flow.JobSpec)
+                                  if f.name not in GUARD_EXEMPT])
+def test_every_run_option_changes_what_a_later_stage_reads(tmp_path, guard_base_dir, name):
+    out = tmp_path / "out"
+    assert run_cli("run", *_flags({**GUARD_BASE, name: GUARD_VALUES[name]}), "-o", out) in (0, 3)
+    echo = META_ECHO.get(name)
+    assert _guard_artifacts(out, echo) != _guard_artifacts(guard_base_dir, echo)

@@ -59,11 +59,13 @@ def test_layer_indices_contiguous_and_alternating():
 
 
 def test_kind_aliases():
-    assert fab.normalize_kind("TransistorMonolithic3D") is fab.FabricKind.TMI
-    assert fab.normalize_kind("SkybridgeS3DC") is fab.FabricKind.S3DC
-    assert fab.normalize_kind("Planar2D") is fab.FabricKind.PLANAR_2D
-    with pytest.raises(fab.FabricConfigError, match="unknown fabric kind"):
-        fab.normalize_kind("quantum")
+    # each kind has one name, in any case and with surrounding spaces
+    assert fab.normalize_kind(" TMI ") is fab.FabricKind.TMI
+    assert fab.normalize_kind("S3dc") is fab.FabricKind.S3DC
+    assert fab.normalize_kind(fab.FabricKind.PLANAR_2D) is fab.FabricKind.PLANAR_2D
+    for token in ("quantum", "Planar2D", "skybridge", "t-mi", "s 3dc"):
+        with pytest.raises(fab.FabricConfigError, match="unknown fabric kind"):
+            fab.normalize_kind(token)
 
 
 # --- cell masters
@@ -154,7 +156,7 @@ def test_bind_masters_rebuilds_geometry():
 
 
 def test_load_empty_config_equals_builtin():
-    assert fab.load_fabric("kind Planar2D\n") == fab.builtin_fabric("2d")
+    assert fab.load_fabric("kind 2D\n") == fab.builtin_fabric("2d")
 
 
 def test_load_overrides_one_layer_capacity():
@@ -192,8 +194,9 @@ def test_load_requires_kind():
 
 
 def test_load_rejects_multilayer_pins_on_planar():
-    with pytest.raises(fab.FabricConfigError):
-        fab.load_fabric("kind 2d\npin_layers 5\n")
+    with pytest.raises(fab.FabricConfigError,
+                       match="^line 2: 2d fabric requires pin_access_layers == 1$"):
+        fab.load_fabric("kind 2d\naccess_layers 1 2\n")
 
 
 def test_load_cellpower_table():
@@ -213,26 +216,23 @@ def test_load_site_scales_footprint():
     assert fab.load_fabric("kind tmi\nsite 80\n").footprint_scale == 8 * 80**2 / (16 * 90**2)
 
 
-def test_load_pin_layers_must_match_access_layers():
-    spec = fab.load_fabric("kind s3dc\npin_layers 3\n")
+def test_load_access_layers_state_n():
+    spec = fab.load_fabric("kind s3dc\naccess_layers 2 3 4\n")
     assert spec.access_layer_ids == (2, 3, 4)
     assert spec.pin_access_layers == 3
-    with pytest.raises(fab.FabricConfigError, match="lists 2 layers, not N = 3"):
-        fab.load_fabric("kind s3dc\npin_layers 3\naccess_layers 2 3\n")
+    assert fab.load_fabric("kind s3dc\n").pin_access_layers == 5
 
 
 def test_load_custom_access_layers():
     spec = fab.load_fabric("kind s3dc\naccess_layers 3 4 5 6 7\n")
     assert spec.access_layer_ids == (3, 4, 5, 6, 7)
     assert spec.pin_access_layers == 5
-    with pytest.raises(fab.FabricConfigError):
-        fab.load_fabric("kind s3dc\naccess_layers 2 3\n")  # count must match N
 
 
 def test_bind_masters_uses_fabric_access_layers():
     d = nl.parse_netlist("master M pins A B OUT\ncell c1 M\ncell c2 M\nnet n1 c1.OUT c2.A\n")
     for text, expected in (
-        ("kind s3dc\npin_layers 3\naccess_layers 7 8 9\n", {7, 8, 9}),
+        ("kind s3dc\naccess_layers 7 8 9\n", {7, 8, 9}),
         ("kind 2d\naccess_layers 2\n", {2}),
     ):
         bound = fab.bind_masters(d, fab.load_fabric(text))
@@ -250,7 +250,7 @@ def test_load_reports_line_numbers():
     ("kind 2d\nlayer 0 cap 5\nvdd 0.8\n", 2),
     ("kind 2d\nlayer 3 dir x\nlayer 3 cap 5\n", 2),
     ("kind 2d\naccess_layers 9\nvdd 0.8\n", 2),
-    ("kind 2d\npin_layers 5\nvdd 0.8\n", 2),
+    ("kind 2d\naccess_layers 1 2\nvdd 0.8\n", 2),
     ("kind 2d\naccess_layers\nvdd 0.8\n", 2),
     ("kind 2d\nvdd 0.8 0.9\n", 2),
     ("kind 2d\nsite 40 x\n", 2),
@@ -268,10 +268,10 @@ def test_load_reports_line_numbers():
     ("kind 2d\nvdd inf\n", 2),
     ("kind 2d\nsite nan\n", 2),
     ("kind 2d\ncellpower M nan 0.1\n", 2),
-    # every directive but layer is given once
+    # every directive is given once, layer once per index
     ("kind 2d\nvdd 0.8\nvdd 0.7\n", 3),
     ("kind 2d\nsite 40\nsite 40\n", 3),
-    ("kind s3dc\npin_layers 5\npin_layers 5\n", 3),
+    ("kind 2d\nlayer 3 cap 4\nlayer 4 cap 4\nlayer 3 c 0.3\n", 4),
     ("kind 2d\naccess_layers 1\nvdd 0.8\naccess_layers 2\n", 4),
     ("kind 2d\ncellpower M 1 0.1\ncellpower N 1 0.1\ncellpower M 2 0.1\n", 4),
 ])

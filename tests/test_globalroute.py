@@ -412,3 +412,20 @@ def test_congestion_csv_shape():
     # top layer has no via rows
     top = gr.congestion_csv(cmap, 2).strip().splitlines()
     assert not any(",via," in line for line in top[1:])
+
+
+@pytest.mark.parametrize("layers, dirs, caps", [
+    (1, ("h", "v"), (1, 1)),  # a second direction with no layer
+    (3, ("h", "v"), (1, 1)),  # a layer with no direction
+    (2, ("h", "v"), (1,)),  # a layer with no capacity
+])
+def test_routing_graph_rejects_layer_lists_of_wrong_length(layers, dirs, caps):
+    with pytest.raises(ValueError, match=f"need {layers} entries each"):
+        gr.RoutingGraph(3, 3, layers, 1, 100.0, dirs, caps, 1)
+
+
+@pytest.mark.parametrize("layer", [0, 3, -1])
+def test_congestion_csv_rejects_layer_outside_stack(layer):
+    cmap = gr.build_congestion_map(small_graph(layers=2))
+    with pytest.raises(ValueError, match=rf"layer {layer} outside 1\.\.2"):
+        gr.congestion_csv(cmap, layer)

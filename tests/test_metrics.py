@@ -75,7 +75,7 @@ def test_cell_powers_zero_without_entries_error():
 
 def test_cell_powers_internal_hand_value():
     d = tiny_netlist(1, [])
-    table = {"u": fab.CellEnergyEntry("u", internal_fj=1.0, pin_cap_ff=0.0)}
+    table = {"u": fab.CellEnergyEntry(internal_fj=1.0, pin_cap_ff=0.0)}
     pin, internal = metrics.cell_powers_mw(d, table, metrics.PowerParams(1.0, 0.8, 0.2))
     assert pin == 0.0
     assert internal == pytest.approx(2e-4, rel=1e-12)  # 0.2 uW
@@ -84,7 +84,7 @@ def test_cell_powers_internal_hand_value():
 def test_cell_powers_count_connected_inputs_only():
     # net (c0.p0 -> c1.p1): one input terminal; c2 unconnected
     d = tiny_netlist(3, [(0, 1)])
-    table = {"u": fab.CellEnergyEntry("u", internal_fj=0.0, pin_cap_ff=2.0)}
+    table = {"u": fab.CellEnergyEntry(internal_fj=0.0, pin_cap_ff=2.0)}
     power = metrics.PowerParams(1.0, 1.0, 0.5)
     pin, internal = metrics.cell_powers_mw(d, table, power)
     # 0.5 * 1e9 Hz * 1 V^2 * 2 fF = 1 uW = 1e-3 mW

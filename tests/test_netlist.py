@@ -24,7 +24,6 @@ def test_parse_minimal():
 
 def test_parse_infers_driver_from_output_pin():
     d = nl.parse_netlist(MINIMAL)
-    assert d.nets[0].driver == 0
     assert d.masters["NAND3"].pin("OUT").direction == "output"
     assert d.masters["NAND3"].pin("A").direction == "input"
 
@@ -97,12 +96,10 @@ def test_roundtrip_generated(synth_1024):
 @given(cells=st.integers(nl.MIN_GENERATED_CELLS, 400),
        rent_exponent=st.floats(0.51, 0.99),
        pins_per_cell=st.floats(2.0, 6.0),
-       sequential_fraction=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**16))
-def test_roundtrip_property(cells, rent_exponent, pins_per_cell, sequential_fraction, seed):
+def test_roundtrip_property(cells, rent_exponent, pins_per_cell, seed):
     d = nl.generate_synthetic(nl.SynthesisParams(
-        num_cells=cells, rent_exponent=rent_exponent, avg_pins_per_cell=pins_per_cell,
-        sequential_fraction=sequential_fraction, seed=seed,
+        num_cells=cells, rent_exponent=rent_exponent, avg_pins_per_cell=pins_per_cell, seed=seed,
     ))
     assert nl.parse_netlist(nl.serialize_netlist(d), name=d.name) == d
 
@@ -129,12 +126,6 @@ def test_validate_flags_unknown_references():
     d.cells.append(nl.CellInstance(id="c9", master="ghostmaster"))
     msgs = " | ".join(nl.validate(d))
     assert "ghost" in msgs and "ghostmaster" in msgs
-
-
-def test_validate_flags_bad_driver_index():
-    d = nl.parse_netlist(MINIMAL)
-    d.nets[0].driver = 5
-    assert any("driver index" in e for e in nl.validate(d))
 
 
 # --- synthetic generator
@@ -183,20 +174,11 @@ def test_generator_single_driver_per_net(synth_1024):
         outs = [t for t in net.terminals if t[1] == "o"]
         assert len(outs) <= 1
         if outs:
-            assert net.driver == 0
             assert net.terminals[0][1] == "o"
 
 
 def test_generator_validates_clean(synth_1024):
     assert len(nl.validate(synth_1024)) == 0
-
-
-def test_generator_sequential_fraction():
-    d = nl.generate_synthetic(
-        nl.SynthesisParams(num_cells=2048, sequential_fraction=0.3, seed=5)
-    )
-    frac = sum(c.is_sequential for c in d.cells) / len(d.cells)
-    assert 0.2 < frac < 0.4
 
 
 @pytest.mark.slow

@@ -284,3 +284,9 @@ def test_pin_density_reports_s3dc_layers():
     die = pl.size_die(d, fabric, 0.6)
     placed = pl.random_placement(d, fabric, die, seed=0)
     assert pl.pin_density_of(placed, d, fabric).pin_access_layers == 5
+
+
+def test_anneal_config_rejects_zero_restarts():
+    # the other AnnealConfig bounds are tested through the CLI
+    with pytest.raises(ValueError, match="^restarts must be >= 1, got 0$"):
+        pl.AnnealConfig(restarts=0)
