@@ -44,10 +44,24 @@ def checked(name: str, value, hint):
     return float(value) if kind is float else value
 
 
+# The options whose range a later stage checks, each with that stage's check,
+# so that a value out of range fails before the first stage runs.
+RANGE_CHECKS = {
+    "utilization": lambda v: pl.Die(1, 1, 1.0, v),
+    "moves_per_temp": lambda v: pl.AnnealConfig(moves_per_temp=v),
+    "max_temps": lambda v: pl.AnnealConfig(max_temps=v),
+    "gcell": gr.check_gcell_size,
+    "max_iters": lambda v: gr.RouteParams(max_iters=v),
+    "freq": lambda v: metrics.PowerParams(clock_freq_ghz=v),
+    "activity": lambda v: metrics.PowerParams(switching_activity=v),
+}
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """The options of one (design x fabric x seed) job; ``seed`` seeds both
-    the netlist generator and the placer.  Every field is type-checked."""
+    the netlist generator and the placer.  Every field is type-checked, and
+    those in ``RANGE_CHECKS`` are range-checked, each error naming its key."""
 
     fabric: str = _option("2d", "place", "2d | tmi | s3dc | path to a fabric config")
     netlist: str | None = _option(None, "netlist", "netlist file to ingest")
@@ -71,6 +85,11 @@ class JobSpec:
     def __post_init__(self):
         for name, hint in typing.get_type_hints(JobSpec).items():
             object.__setattr__(self, name, checked(name, getattr(self, name), hint))
+        for name, check in RANGE_CHECKS.items():
+            try:
+                check(getattr(self, name))
+            except ValueError as exc:
+                raise JobError(f"key {name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

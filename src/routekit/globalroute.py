@@ -151,12 +151,16 @@ class RoutingGraph:
         return self.gcell_size * self.site_dim_nm / 1000.0
 
 
+def check_gcell_size(gcell_size: int) -> None:
+    if gcell_size < 1:
+        raise ValueError(f"gcell_size must be >= 1, got {gcell_size}")
+
+
 def build_grid(fabric: FabricSpec, die, gcell_size: int) -> RoutingGraph:
     """Routing lattice over a die: ``ceil(sites / gcell_size)`` gcells per
     axis, one graph layer per fabric routing layer.  Via capacity is 1 per
     gcell for exclusive via stacks and 4 otherwise."""
-    if gcell_size < 1:
-        raise ValueError("gcell_size must be >= 1")
+    check_gcell_size(gcell_size)
     return RoutingGraph(
         x=-(-die.width // gcell_size), y=-(-die.height // gcell_size),
         layers=fabric.num_layers, gcell_size=gcell_size, site_dim_nm=fabric.site_dim_nm,

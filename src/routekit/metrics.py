@@ -29,10 +29,13 @@ class PowerParams:
     switching_activity: float = 0.2
 
     def __post_init__(self):
-        if self.clock_freq_ghz <= 0 or self.supply_voltage <= 0:
-            raise MetricsError("frequency and supply voltage must be positive")
+        if self.clock_freq_ghz <= 0:
+            raise MetricsError(f"clock_freq_ghz must be > 0, got {self.clock_freq_ghz}")
+        if self.supply_voltage <= 0:
+            raise MetricsError(f"supply_voltage must be > 0, got {self.supply_voltage}")
         if not 0.0 < self.switching_activity <= 1.0:
-            raise MetricsError("switching activity must lie in (0, 1]")
+            raise MetricsError(
+                f"switching_activity must lie in (0, 1], got {self.switching_activity}")
 
 
 def total_wirelength_mm(routes: list[NetRoute], graph: RoutingGraph) -> float:

@@ -5,17 +5,31 @@ at or below the utilization target (default 0.6; the remaining area is
 interspersed whitespace).  Cells occupy a uniform slot grid, so any slot
 assignment is overlap-free by construction.
 
-Placement itself is simulated annealing over swap/relocate moves with
-geometric cooling.  A move takes a random cell to a random slot and swaps it
-with the slot's occupant, if any.  It is evaluated in place: the one or two
-cells are put at their new positions, each net they touch is rescored (a
-two-terminal net in closed form from a per-cell table, a larger one by a
-min/max scan of its terminals) into a scratch array, and a rejected move
-puts the cells back.  Nets whose terminals all sit on one cell never change
-and are not rescored.  A zero-cost move is accepted with probability 0.5 so
-plateaus are still explored deterministically from the seeded RNG.  The
-annealer logs its start temperature, each temperature step and why it
-stopped at DEBUG level on the ``routekit.placement`` logger.
+Placement is an analytic start followed by a short, cool simulated anneal.
+
+The analytic start (after GORDIAN and SimPL) models each net as a clique
+over its distinct cells, edge weight 1/(k - 1), and solves the anchored
+quadratic problem ``(L + a I) x = a x_anchor`` for x and for y by conjugate
+gradients.  The first anchor is a seeded random slot assignment.  Each round
+legalises the solution onto the slot grid (cells cut into columns by x, each
+column spread over the rows by y), and that legal state anchors the next
+round with a larger weight ``a``.  The start is the lowest-HPWL legal state
+seen, the random anchor included.
+
+The anneal makes swap/relocate moves with geometric cooling.  A move takes a
+random cell to a random slot and swaps it with the slot's occupant, if any.
+It is evaluated in place: the one or two cells are put at their new
+positions, each net they touch is rescored (a two-terminal net in closed
+form from a per-cell table, a larger one by a min/max scan of its
+terminals) into a scratch array, and a rejected move puts the cells back.
+Nets whose terminals all sit on one cell never change and are not rescored.
+A zero-cost move is accepted with probability 0.5 so plateaus are still
+explored deterministically from the seeded RNG.  The start temperature is
+the one at which the sampled moves from the start state would be accepted
+at the rate ``START_ACCEPTANCE``, so the anneal refines the analytic start
+rather than melting it.  The annealer logs its start temperature, each
+temperature step and why it stopped at DEBUG level on the
+``routekit.placement`` logger.
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fabric import FabricSpec
 from .netlist import Netlist
@@ -147,8 +163,10 @@ def hpwl(netlist: Netlist, placement: Placement) -> int:
 
 
 def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int = 0) -> Placement:
-    """The seeded random slot assignment ``place`` starts from.  ``fabric``
-    is unread; it stays so that callers keep the signature of ``place``."""
+    """The seeded random slot assignment that anchors the analytic start of
+    ``place``'s first restart; ``place`` never ends above its HPWL.
+    ``fabric`` is unread; it stays so that callers keep the signature of
+    ``place``."""
     rng = random.Random(seed)
     nslots, xs, ys = _slots(netlist, die)
     chosen = rng.sample(range(nslots), len(netlist.cells))
@@ -159,6 +177,11 @@ def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int =
 MOVES_CAP = 40000  # most moves per temperature step by default
 COOLING = 0.95  # temperature factor per step
 MIN_ACCEPT_RATE = 0.01  # stop once a step accepts fewer moves than this share
+START_ACCEPTANCE = 0.05  # share of the sampled costly moves the first step would accept
+ANALYTIC_ROUNDS = 16  # anchored solves of the analytic start
+ANCHOR_WEIGHT = 0.01  # anchor weight of the first solve
+ANCHOR_GROWTH = 1.6  # anchor weight factor per round
+CG_TOL = 1e-10  # conjugate gradients stop at this residual norm over the right-hand side's
 
 
 @dataclass
@@ -183,18 +206,23 @@ def place(
     seed: int = 0,
     config: AnnealConfig | None = None,
 ) -> Placement:
-    """Anneal cells into die slots minimizing total HPWL.
+    """Place cells into die slots minimizing total HPWL: per restart, an
+    analytic start from a seeded random anchor, then a cool anneal.
 
-    Deterministic for a fixed seed; the returned placement never has higher
-    HPWL than the initial random assignment (best-seen state is kept).
-    ``fabric`` is unread: the bound masters carry its geometry, and the
-    argument stays because callers pass it positionally.
+    Deterministic for a fixed seed.  The first restart's anchor is
+    ``random_placement(seed)``, and each stage keeps its best-seen state, so
+    the result never has higher HPWL than that assignment.  ``fabric`` is
+    unread: the bound masters carry its geometry, and the argument stays
+    because callers pass it positionally.
     """
     cfg = config or AnnealConfig()
     nslots, slot_x, slot_y = _slots(netlist, die)
     n = len(netlist.cells)
     net_terms = _terminal_offsets(netlist)
     tables = _move_tables(net_terms, n)
+    model = _clique_model(net_terms, n)
+    terminals = _terminal_arrays(net_terms)
+    cols = die.width // _slot_shape(netlist)[0]
 
     moves_per_temp = cfg.moves_per_temp
     if moves_per_temp is None:
@@ -204,7 +232,8 @@ def place(
     best_slots: list[int] | None = None
     best_cost = math.inf
     for _ in range(cfg.restarts):
-        slots = rng.sample(range(nslots), n)
+        anchor = rng.sample(range(nslots), n)
+        slots = _analytic_start(anchor, model, terminals, slot_x, slot_y, cols)
         cost = _anneal(
             slots, nslots, slot_x, slot_y, net_terms, tables, rng,
             moves_per_temp, cfg.max_temps,
@@ -219,6 +248,147 @@ def place(
         for i, c in enumerate(netlist.cells)
     }
     return Placement(assignments=assignments, die=die)
+
+
+def _clique_model(net_terms, n):
+    """The clique net model: a net over k > 1 distinct cells joins each two
+    of them with weight 1/(k - 1).  Returns its incidence arrays (cell and
+    net of each (net, distinct cell) pair), the net weights and the
+    diagonal of the n x n Laplacian L, so that ``L v`` is
+    ``diag v - B^T W B v`` for the incidence matrix B."""
+    pin_cell: list[int] = []
+    pin_net: list[int] = []
+    weight: list[float] = []
+    for terms in net_terms:
+        cells = sorted({c for c, _, _ in terms})
+        if len(cells) > 1:
+            pin_cell += cells
+            pin_net += [len(weight)] * len(cells)
+            weight.append(1.0 / (len(cells) - 1))
+    pin_cell_a = np.array(pin_cell, dtype=np.intp)
+    pin_net_a = np.array(pin_net, dtype=np.intp)
+    weight_a = np.array(weight)
+    # L's diagonal is a cell's degree: k - 1 edges of weight 1/(k - 1) on
+    # each of its nets, so its net count.  B^T W B holds each of its nets'
+    # weights on the diagonal as well, so diag adds those for L v to come out.
+    diag = (np.bincount(pin_cell_a, minlength=n)
+            + np.bincount(pin_cell_a, weights=weight_a[pin_net_a], minlength=n))
+    return pin_cell_a, pin_net_a, weight_a, diag
+
+
+def _anchored_solve(model, alpha, anchor):
+    """x solving ``(L + alpha I) x = alpha anchor`` for ``model``'s Laplacian
+    L, by conjugate gradients from the anchor until the residual's norm is
+    CG_TOL of the right-hand side's."""
+    pin_cell, pin_net, weight, diag = model
+    n, nnets = len(anchor), len(weight)
+    shifted = diag + alpha
+
+    def matvec(v):
+        net_sums = np.bincount(pin_net, weights=v[pin_cell], minlength=nnets)
+        return shifted * v - np.bincount(pin_cell, weights=(weight * net_sums)[pin_net],
+                                         minlength=n)
+
+    b = alpha * anchor
+    x = anchor.copy()
+    r = b - matvec(x)
+    p = r.copy()
+    rr = r @ r
+    stop = CG_TOL * CG_TOL * (b @ b)
+    # n steps solve exactly without rounding; the cap only ends a stalled solve.
+    for _ in range(10 * n):
+        if rr <= stop:
+            break
+        ap = matvec(p)
+        step = rr / (p @ ap)
+        x += step * p
+        r -= step * ap
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+    return x
+
+
+def _legalize(x, y, cols, rows):
+    """Distinct slots for cells at (x, y): the cells, in x order with the
+    index breaking ties, are cut into ``cols`` columns of near-equal size;
+    each column, in y order, is spread evenly over its ``rows`` rows.  Slot
+    ``s`` is column ``s % cols`` of row ``s // cols``, as ``_slots`` numbers
+    them; needs ``len(x) <= cols * rows``."""
+    n = len(x)
+    col = np.empty(n, dtype=np.intp)
+    col[np.argsort(x, kind="stable")] = np.arange(n) * cols // n
+    order = np.lexsort((y, col))  # by column, then y; lexsort is stable
+    size = np.bincount(col, minlength=cols)
+    c = col[order]
+    rank = np.arange(n) - (np.cumsum(size) - size)[c]
+    slots = np.empty(n, dtype=np.intp)
+    slots[order] = (2 * rank + 1) * rows // (2 * size[c]) * cols + c
+    return slots
+
+
+def _terminal_arrays(net_terms):
+    """The terminals of the nets that have any, net by net, as cell, dx and
+    dy arrays, with the index of each net's first terminal."""
+    cell, dx, dy = np.array([t for terms in net_terms for t in terms],
+                            dtype=np.intp).reshape(-1, 3).T
+    sizes = np.array([len(terms) for terms in net_terms if terms], dtype=np.intp)
+    return cell, dx, dy, np.cumsum(sizes) - sizes
+
+
+def _slots_hpwl(slots, terminals, slot_x, slot_y):
+    """``hpwl`` of the assignment of cell i to slot ``slots[i]``."""
+    cell, dx, dy, first = terminals
+    if not len(cell):
+        return 0
+    x = slot_x[slots][cell] + dx
+    y = slot_y[slots][cell] + dy
+    return int((np.maximum.reduceat(x, first) - np.minimum.reduceat(x, first)).sum()
+               + (np.maximum.reduceat(y, first) - np.minimum.reduceat(y, first)).sum())
+
+
+def _analytic_start(anchor, model, terminals, slot_x, slot_y, cols):
+    """The lowest-HPWL legal state among ``anchor`` (a slot per cell) and
+    ANALYTIC_ROUNDS legalised anchored solves, each anchored at the legal
+    state before it, the anchor weight growing by ANCHOR_GROWTH a round."""
+    slot_x, slot_y = np.array(slot_x), np.array(slot_y)
+    rows = len(slot_x) // cols
+    slots = np.array(anchor, dtype=np.intp)
+    best, best_cost = slots, _slots_hpwl(slots, terminals, slot_x, slot_y)
+    alpha = ANCHOR_WEIGHT
+    for _ in range(ANALYTIC_ROUNDS):
+        x = _anchored_solve(model, alpha, slot_x[slots].astype(float))
+        y = _anchored_solve(model, alpha, slot_y[slots].astype(float))
+        slots = _legalize(x, y, cols, rows)
+        cost = _slots_hpwl(slots, terminals, slot_x, slot_y)
+        if cost < best_cost:
+            best, best_cost = slots, cost
+        alpha *= ANCHOR_GROWTH
+    return best.tolist()
+
+
+def _start_temperature(deltas):
+    """The temperature T at which moves of the sampled costs ``deltas``
+    would be accepted at the mean rate ``mean(exp(-d / T))`` =
+    START_ACCEPTANCE; 1.0 if every cost is 0.  A move of cost 0 is left
+    out: its acceptance does not depend on T.  Bisection runs until the
+    bounds are adjacent floats, so T is the least float reaching the rate,
+    whatever the bracket."""
+    costs = [d for d in deltas if d]
+    if not costs:
+        return 1.0
+    target = START_ACCEPTANCE * len(costs)
+    # Equal costs d give T = d / scale, so T lies between the smallest and
+    # the largest cost's; a factor 2 keeps both bounds clear of rounding.
+    scale = -math.log(START_ACCEPTANCE)
+    lo, hi = min(costs) / scale / 2, 2 * max(costs) / scale
+    while True:
+        t = (lo + hi) / 2
+        if t in (lo, hi):
+            return hi
+        if sum(math.exp(-d / t) for d in costs) < target:
+            lo = t
+        else:
+            hi = t
 
 
 def _move_tables(net_terms, n):
@@ -322,7 +492,7 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
         # A net of both cells is scored once, with c's nets.
         return score(c, x2, y2, ()) + score(c2, x1, y1, cell_nets[c])
 
-    # Calibrate the start temperature from typical move magnitudes.
+    # Calibrate the start temperature from the costs of sampled moves.
     deltas = []
     for _ in range(min(200, 20 * n)):
         c = getrandbits(cell_bits)
@@ -342,7 +512,7 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
         if c2 >= 0:
             px[c2] = x2
             py[c2] = y2
-    t = max(1e-9, 2.0 * sum(deltas) / len(deltas)) if deltas else 1.0
+    t = _start_temperature(deltas)
     logger.debug("anneal start: T=%.6g, cost %d, %d cells in %d slots, %d moves per step",
                  t, cost, n, nslots, moves_per_temp)
 

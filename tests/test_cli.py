@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pickle
 import shutil
+from unittest import mock
 
 import pytest
 
@@ -68,9 +69,9 @@ def test_run_reports_are_deterministic(tmp_path):
 
 
 def test_run_congested_exits_3_with_artifacts(tmp_path):
-    # a starved fabric: one track per edge everywhere
+    # a starved fabric: one track per edge on M1-M4, M5-M8 blocked
     cfg = tmp_path / "tight.fab"
-    cfg.write_text("kind 2d\n" + "".join(f"layer {i} cap 1\n" for i in range(1, 9)))
+    cfg.write_text("kind 2d\n" + "".join(f"layer {i} cap {int(i <= 4)}\n" for i in range(1, 9)))
     net = gen_netlist(tmp_path / "n.net", cells=256)
     rc = run_cli("run", "--fabric", cfg, "--netlist", net, "--seed", 1,
                  "--label", "tight", "-o", tmp_path / "out", *FAST)
@@ -468,13 +469,33 @@ def test_out_of_range_run_option_exits_2_naming_it(tmp_path, capsys, command, fl
     assert not (out / "routes.txt").exists()
 
 
+@pytest.mark.parametrize("flag, value, key, message", [
+    ("--utilization", 0, "utilization", "utilization must lie in (0, 1]"),
+    ("--moves-per-temp", 0, "moves_per_temp", "moves_per_temp must be >= 1, got 0"),
+    ("--max-temps", -1, "max_temps", "max_temps must be >= 0, got -1"),
+    ("--gcell", 0, "gcell", "gcell_size must be >= 1, got 0"),
+    ("--max-iters", -1, "max_iters", "max_iters must be >= 0, got -1"),
+    ("--freq", -1, "freq", "clock_freq_ghz must be > 0, got -1.0"),
+    ("--activity", 1.5, "activity", "switching_activity must lie in (0, 1], got 1.5"),
+])
+def test_out_of_range_run_option_fails_before_any_stage(tmp_path, capsys, flag, value, key,
+                                                        message):
+    # generating the design is the first stage; it must not start
+    with mock.patch.object(nl, "generate_synthetic", side_effect=AssertionError("a stage ran")):
+        assert run_cli("run", "--cells", 200, flag, value, "-o", tmp_path / "out") == 2
+    assert f"routekit: error: key {key!r}: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # Every run option must change an artifact that a later stage reads, and not
 # only its own echo in run_meta.json.  A new JobSpec field fails the test
 # until it is given a value here or exempted with a reason.
-GUARD_BASE = {"fabric": "tmi", "cells": 200, "moves_per_temp": 100, "max_temps": 5,
+# The annealer runs long enough that its best state is not its start, so that
+# moves_per_temp and max_temps change the placement.
+GUARD_BASE = {"fabric": "tmi", "cells": 200, "moves_per_temp": 100, "max_temps": 20,
               "gcell": 6, "max_iters": 5, "label": "x"}  # a congested job
 GUARD_VALUES = {"fabric": "s3dc", "rent": 0.6, "pins": 4.0, "seed": 2, "utilization": 0.5,
-                "moves_per_temp": 200, "max_temps": 10, "gcell": 4, "max_iters": 1,
+                "moves_per_temp": 200, "max_temps": 40, "gcell": 4, "max_iters": 1,
                 "freq": 2.0, "activity": 0.1}
 GUARD_EXEMPT = {"netlist", "cells", "label"}  # the design source and the report's name
 META_ECHO = {"fabric": "fabric", "seed": "seed", "utilization": "utilization", "gcell": "gcell",

@@ -1,17 +1,28 @@
 """Property tests for the annealing placer, on random small netlists.
 
-``routekit.placement.place`` must make the same moves as the frozen
-reference in ``placement_reference.py``: the same random draws, in the same
-order, and so the same assignments.  Each run records every call the
-placer makes on its random number generator, so a draw that differs shows
-even where the final placement happens to agree.  The hypothesis profile is
-bounded and derandomised, so every run checks the same examples.
+``routekit.placement._anneal``, run from a given start, must make the same
+moves as the frozen reference in ``placement_reference.py``: the same
+random draws, in the same order, and so the same assignments.  ``place`` is
+run with its analytic start returning the random anchor unchanged and with
+the reference's start-temperature rule, the one part of ``_anneal`` meant to
+differ; restarts, draws, kernel and stop rule are then the reference's.
+Each run records every call the placer makes on its random number
+generator, so a draw that differs shows even where the final placement
+happens to agree.  The hypothesis profile is bounded and derandomised, so
+every run checks the same examples.
+
+The analytic start is checked against oracles: its conjugate-gradient solve
+against a dense solve of an independently built clique Laplacian, its
+legaliser against the orders it must keep, and the anneal's start
+temperature against the acceptance rate it is solved for.
 """
 
+import math
 import random
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import placement_reference as ref
 import pytest
 from conftest import tiny_netlist, unit_master
@@ -65,8 +76,15 @@ def recorded_place(module, *args, **kwargs):
     return placed.assignments, rng.calls
 
 
+def reference_start_temperature(deltas):
+    """The frozen reference's start temperature: twice the mean sampled |delta|."""
+    return max(1e-9, 2.0 * sum(deltas) / len(deltas)) if deltas else 1.0
+
+
 def assert_same_as_reference(design, fabric, die, seed, cfg):
-    new, new_calls = recorded_place(pl, design, fabric, die, seed=seed, config=cfg)
+    with mock.patch.object(pl, "_analytic_start", lambda anchor, *_: anchor), \
+            mock.patch.object(pl, "_start_temperature", reference_start_temperature):
+        new, new_calls = recorded_place(pl, design, fabric, die, seed=seed, config=cfg)
     old, old_calls = recorded_place(ref, design, fabric, die, seed=seed, config=cfg)
     assert new_calls == old_calls
     assert new == old
@@ -122,3 +140,91 @@ def test_cell_and_slot_draws_are_randrange(m):
         ring = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n, (i + 5) % n)
                                                        for i in range(0, n, 3)]
         assert_same_as_reference(tiny_netlist(n, ring), fab.builtin_fabric("2d"), die, m, cfg)
+
+
+# --- the analytic start
+
+
+@st.composite
+def clique_systems(draw):
+    """Nets of 1 to 6 terminals over n cells (a cell may repeat in a net),
+    an anchor weight from the range the analytic start uses and an anchor."""
+    n = draw(st.integers(1, 24))
+    nets = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), max_size=3 * n))
+    alpha = pl.ANCHOR_WEIGHT * pl.ANCHOR_GROWTH ** draw(st.integers(0, pl.ANALYTIC_ROUNDS - 1))
+    anchor = draw(st.lists(st.integers(0, 300), min_size=n, max_size=n))
+    return n, nets, alpha, np.array(anchor, dtype=float)
+
+
+@settings(BOUNDED, max_examples=200)
+@given(system=clique_systems())
+def test_anchored_solve_matches_dense_solve(system):
+    n, nets, alpha, anchor = system
+    laplacian = np.zeros((n, n))
+    for net in nets:
+        cells = set(net)
+        for a in cells:
+            for b in cells - {a}:
+                laplacian[a, b] -= 1 / (len(cells) - 1)
+                laplacian[a, a] += 1 / (len(cells) - 1)
+    expected = np.linalg.solve(laplacian + alpha * np.eye(n), alpha * anchor)
+    model = pl._clique_model([[(c, 0, 0) for c in net] for net in nets], n)
+    got = pl._anchored_solve(model, alpha, anchor)
+    assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected)
+
+
+@settings(BOUNDED, max_examples=300)
+@given(data=st.data())
+def test_legalize_gives_distinct_slots_in_x_then_y_order(data):
+    cols = data.draw(st.integers(1, 8))
+    rows = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, cols * rows))
+    # few distinct coordinates, so that ties are common
+    x = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float)
+    y = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float)
+    slots = pl._legalize(x, y, cols, rows)
+    assert len(set(slots.tolist())) == n
+    assert all(0 <= s < cols * rows for s in slots)
+    col, row = slots % cols, slots // cols
+    for a in range(n):
+        for b in range(n):
+            if (x[a], a) < (x[b], b):
+                assert col[a] <= col[b]
+            if col[a] == col[b] and y[a] < y[b]:
+                assert row[a] < row[b]
+
+
+@settings(BOUNDED, max_examples=300)
+@given(deltas=st.lists(st.integers(0, 5000), min_size=1, max_size=200),
+       bump=st.integers(1, 100))
+def test_start_temperature_hits_its_acceptance_and_rises_with_the_deltas(deltas, bump):
+    t = pl._start_temperature(deltas)
+    costs = [d for d in deltas if d]
+    if not costs:
+        assert t == 1.0
+        return
+    rate = sum(math.exp(-d / t) for d in costs) / len(costs)
+    assert rate == pytest.approx(pl.START_ACCEPTANCE, rel=1e-9)
+    assert pl._start_temperature([2 * d for d in deltas]) == 2 * t
+    # Raising a cost never lowers T; raising the cheapest one, whose move
+    # is the likeliest accepted, raises it.
+    for cost, rises in ((max(costs), False), (min(costs), True)):
+        raised = deltas[:]
+        raised[deltas.index(cost)] += bump
+        assert pl._start_temperature(raised) > t if rises else pl._start_temperature(raised) >= t
+
+
+@settings(BOUNDED, max_examples=100)
+@given(instance=instances())
+def test_place_is_deterministic_and_never_above_its_random_anchor(instance):
+    design, fabric, die, seed, cfg = instance
+    placed = pl.place(design, fabric, die, seed=seed, config=cfg)
+    assert pl.place(design, fabric, die, seed=seed, config=cfg).assignments == placed.assignments
+    assert pl.illegal_cell(design, placed) is None
+    start = pl.random_placement(design, fabric, die, seed=seed)
+    assert pl.hpwl(design, placed) <= pl.hpwl(design, start)
+    # the analytic start's array HPWL agrees with hpwl() on that state
+    nslots, xs, ys = pl._slots(design, die)
+    anchor = np.array(random.Random(seed).sample(range(nslots), len(design.cells)))
+    terminals = pl._terminal_arrays(pl._terminal_offsets(design))
+    assert pl._slots_hpwl(anchor, terminals, np.array(xs), np.array(ys)) == pl.hpwl(design, start)
