@@ -739,8 +739,16 @@ def congestion_csv(cmap: CongestionMap, layer: int) -> str:
     grids = [(cmap.layer_dirs[li], cmap.layer_demand[li], cmap.layer_capacity[li])]
     if li < cmap.via_demand.shape[0]:
         grids.append(("via", cmap.via_demand[li], cmap.via_capacity[li]))
+    # The ratio depends only on (demand, capacity), so each pair's row tail
+    # is formatted once.
+    tails: dict[tuple[int, int], str] = {}
     for d, dem, cap in grids:
-        ratio = _edge_ratio(dem, cap)
-        for (gy, gx), v in np.ndenumerate(dem):
-            lines.append(f"{layer},{gx},{gy},{d},{int(v)},{int(cap[gy, gx])},{ratio[gy, gx]:.6g}")
+        ratio = _edge_ratio(dem, cap).tolist()
+        for gy, rows in enumerate(zip(dem.tolist(), cap.tolist(), ratio)):
+            mid = f",{gy},{d},"
+            for gx, (v, c, r) in enumerate(zip(*rows)):
+                tail = tails.get((v, c))
+                if tail is None:
+                    tail = tails[v, c] = f"{v},{c},{r:.6g}"
+                lines.append(f"{layer},{gx}{mid}{tail}")
     return "\n".join(lines) + "\n"

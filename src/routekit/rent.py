@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,8 @@ class RentFit:
 
 
 def _clique_graph(netlist) -> tuple[nx.Graph, list[list[int]]]:
+    import networkx as nx
+
     index = {c.id: i for i, c in enumerate(netlist.cells)}
     graph = nx.Graph()
     graph.add_nodes_from(range(len(netlist.cells)))
@@ -185,6 +190,9 @@ def fit_rent_exponent(netlist, seed: int = 0) -> RentFit:
     nets E are recorded, and r is the slope of the least-squares line
     through (log G, log E).  Deterministic for a fixed seed.
     """
+    # Imported here, so that the CLI, which never fits, starts without it.
+    import networkx as nx
+
     n = len(netlist.cells)
     if n < 4 * MIN_BLOCK:
         raise ValueError(f"netlist too small to fit (need >= {4 * MIN_BLOCK} cells)")

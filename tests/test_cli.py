@@ -2,10 +2,14 @@ import dataclasses
 import json
 import pickle
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import routekit
 from routekit import flow, netlist as nl
 from routekit.cli import main
 
@@ -528,3 +532,14 @@ def test_every_run_option_changes_what_a_later_stage_reads(tmp_path, guard_base_
     assert run_cli("run", *_flags({**GUARD_BASE, name: GUARD_VALUES[name]}), "-o", out) in (0, 3)
     echo = META_ECHO.get(name)
     assert _guard_artifacts(out, echo) != _guard_artifacts(guard_base_dir, echo)
+
+
+def test_cli_starts_without_networkx():
+    # Only rent.fit_rent_exponent needs networkx, and no command calls it.
+    src = str(Path(routekit.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import routekit.cli; "
+            "print('networkx' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import routing_oracles as oracle
@@ -412,6 +413,27 @@ def test_congestion_csv_shape():
     # top layer has no via rows
     top = gr.congestion_csv(cmap, 2).strip().splitlines()
     assert not any(",via," in line for line in top[1:])
+
+
+def test_congestion_csv_matches_per_edge_formatting():
+    # random demands, with zero capacities, against the row-by-row writer
+    # that formats each edge from the numpy matrices
+    graph = small_graph(x=5, y=4, layers=3, dirs=("h", "v", "h"), caps=(3, 0, 7), via_cap=2)
+    rng = random.Random(5)
+    graph.demand[:] = [rng.choice([0, 0, 1, 2, 3, 5, 9]) for _ in graph.demand]
+    cmap = gr.build_congestion_map(graph)
+    for layer in range(1, 4):
+        li = layer - 1
+        lines = ["layer,x,y,dir,demand,capacity,ratio"]
+        grids = [(cmap.layer_dirs[li], cmap.layer_demand[li], cmap.layer_capacity[li])]
+        if li < cmap.via_demand.shape[0]:
+            grids.append(("via", cmap.via_demand[li], cmap.via_capacity[li]))
+        for d, dem, cap in grids:
+            ratio = gr._edge_ratio(dem, cap)
+            for (gy, gx), v in np.ndenumerate(dem):
+                lines.append(f"{layer},{gx},{gy},{d},{int(v)},{int(cap[gy, gx])},"
+                             f"{ratio[gy, gx]:.6g}")
+        assert gr.congestion_csv(cmap, layer) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("layers, dirs, caps", [
