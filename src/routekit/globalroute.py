@@ -6,7 +6,10 @@ at every gcell (capacity 1 per gcell when the fabric's via stacks are
 single-signal, as in S3DC).
 
 Routing is PathFinder style: nets are routed by A* with edge costs
-``1 + history + present_factor * overuse``; after each iteration the nets
+``1 + history + present_factor * overuse``, guided by a consistent lower
+bound that adds to the planar distance the vias a path needs to reach an
+'h' layer for x travel, a 'v' layer for y travel and the targets' layers,
+so every search returns a cheapest path; after each iteration the nets
 crossing overused edges are ripped up and rerouted while the present-factor
 grows and overused edges accumulate history cost.  Multi-terminal nets are
 decomposed over a rectilinear MST of their terminal gcells, and each new
@@ -334,6 +337,58 @@ def _prim_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return order
 
 
+NO_WALK = 1 << 30  # via bound when the stack lacks a direction the walk needs
+
+
+def _via_bound_table(layer_dirs: tuple[str, ...]) -> list[list[int]]:
+    """Fewest via steps a path needs, by target layer interval.
+
+    Entry ``[lo * L + hi][4 * z + 2 * need_h + need_v]`` is the length of
+    the shortest walk over the layers from ``z`` to some layer in
+    ``lo..hi`` that visits an 'h' layer if ``need_h`` and a 'v' layer if
+    ``need_v``; ``NO_WALK`` when the stack has no layer of a needed
+    direction.  Entries with ``hi < lo`` are empty lists.  It is a
+    breadth-first search over (layer, 'h' seen, 'v' seen) states from each
+    start state.
+    """
+    n = len(layer_dirs)
+    has_h = [d == "h" for d in layer_dirs]
+    has_v = [d == "v" for d in layer_dirs]
+
+    def state(z: int, hs: bool, vs: bool) -> int:
+        return 4 * z + 2 * hs + vs
+
+    # dist[s][t]: via steps from state s to state t.
+    dist = []
+    for s in range(4 * n):
+        d = [NO_WALK] * (4 * n)
+        d[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                z, hs, vs = u >> 2, u >> 1 & 1, u & 1
+                for w in (z - 1, z + 1):
+                    if 0 <= w < n:
+                        v = state(w, hs or has_h[w], vs or has_v[w])
+                        if d[v] == NO_WALK:
+                            d[v] = d[u] + 1
+                            nxt.append(v)
+            frontier = nxt
+        dist.append(d)
+    # The walk starts in state (z, met or not needed) for each need.
+    starts = [dist[state(z, not nh or has_h[z], not nv or has_v[z])]
+              for z in range(n) for nh in (0, 1) for nv in (0, 1)]
+    table: list[list[int]] = [[] for _ in range(n * n)]
+    for lo in range(n):
+        row = [NO_WALK] * (4 * n)
+        for hi in range(lo, n):
+            goal = state(hi, True, True)
+            row = [min(r, d[goal]) for r, d in zip(row, starts)]
+            table[lo * n + hi] = row
+    return table
+
+
 class _Scratch:
     """Per-search node state reused across A* calls via generation stamps,
     plus the grid's per-node tables, built once per routing call.
@@ -343,11 +398,12 @@ class _Scratch:
     layer's block has no such edge, and ``horiz`` flags the 'h' layers.  A
     node's -direction planar edge is ``pplus`` of its -direction neighbour;
     its via edges are ``via_base + u - X*Y`` (down) and ``via_base + u``
-    (up).
+    (up).  ``via_bound`` is the grid's ``_via_bound_table``.  ``pops``
+    counts heap pops over all searches, as ``gen`` counts the searches.
     """
 
     __slots__ = ("g", "stamp", "closed_stamp", "parent_node", "parent_edge", "gen",
-                 "nx", "ny", "nz", "pplus", "horiz")
+                 "pops", "nx", "ny", "nz", "pplus", "horiz", "via_bound")
 
     def __init__(self, graph: RoutingGraph):
         x_dim, y_dim, layers = graph.x, graph.y, graph.layers
@@ -358,6 +414,7 @@ class _Scratch:
         self.parent_node = [-1] * nnodes
         self.parent_edge = [-1] * nnodes
         self.gen = 0
+        self.pops = 0
 
         self.nx = list(range(x_dim)) * (y_dim * layers)
         self.ny = [gy for _ in range(layers) for gy in range(y_dim) for _ in range(x_dim)]
@@ -368,6 +425,48 @@ class _Scratch:
             for z, (rows, cols) in enumerate(graph.blocks)
             for gy in range(y_dim) for gx in range(x_dim)
         ]
+        self.via_bound = _via_bound_table(graph.layer_dirs)
+
+
+def _heuristic_tables(graph: RoutingGraph, targets: set[int], scratch: _Scratch):
+    """Per-search tables of the A* lower bound toward ``targets``.
+
+    Returns ``(hx, hy, fx, fy, vb)``, with which a node (x, y, z) has the
+    bound ``hx[x] + hy[y] + vb[4 * z + fx[x] + fy[y]]``:
+
+    - ``hx``/``hy`` hold each axis's distance to the bounding box of the
+      target set, which is admissible for any number of targets and
+      collapses to Manhattan distance for one target;
+    - ``fx`` is 2 on the columns outside the box's x range and ``fy`` is 1
+      on the rows outside its y range, 0 inside: a path from there must run
+      on an 'h' (a 'v') layer somewhere;
+    - ``vb`` is the ``_via_bound_table`` row of the targets' layer interval:
+      the fewest vias that reach that interval through the layer directions
+      the path needs.
+
+    Every edge costs at least 1 and the bound is 0 on every target.  It is
+    consistent: a via step changes the ``vb`` term by at most 1, and a
+    planar step changes ``hx`` or ``hy`` by at most 1 and runs on a layer
+    of its own direction, which already meets the need that the step may
+    flip, so the ``vb`` term stays.  A* with it returns a cheapest path
+    (Hart, Nilsson & Raphael, 1968).
+    """
+    nx = scratch.nx
+    ny = scratch.ny
+    nz = scratch.nz
+    txs = [nx[t] for t in targets]
+    tys = [ny[t] for t in targets]
+    tzs = [nz[t] for t in targets]
+    txlo, txhi = min(txs), max(txs)
+    tylo, tyhi = min(tys), max(tys)
+    tzlo, tzhi = min(tzs), max(tzs)
+    x_out = graph.x - 1 - txhi
+    y_out = graph.y - 1 - tyhi
+    hx = [*range(txlo, 0, -1), *[0] * (txhi - txlo + 1), *range(1, x_out + 1)]
+    hy = [*range(tylo, 0, -1), *[0] * (tyhi - tylo + 1), *range(1, y_out + 1)]
+    fx = [2] * txlo + [0] * (txhi - txlo + 1) + [2] * x_out
+    fy = [1] * tylo + [0] * (tyhi - tylo + 1) + [1] * y_out
+    return hx, hy, fx, fy, scratch.via_bound[tzlo * graph.layers + tzhi]
 
 
 def _astar(graph: RoutingGraph, sources, targets: set[int],
@@ -375,8 +474,11 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     """Cheapest path from any source to any target inside ``bounds``.
 
     Edge cost is 1 + history + pres_fac * (overuse if this net were added);
-    zero-capacity planar edges are impassable.  Ties break on ascending node
-    id, i.e. lexicographic (layer, y, x).  Returns (edges, nodes) or None.
+    zero-capacity planar edges are impassable.  The search is guided by the
+    consistent lower bound of ``_heuristic_tables``: planar distance to the
+    targets' box plus the vias that the layer directions force.  Ties break
+    on ascending node id, i.e. lexicographic (layer, y, x).  Returns
+    (edges, nodes) or None.
     """
     x_dim = graph.x
     xy = x_dim * graph.y
@@ -399,19 +501,7 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     nz = scratch.nz
     pplus = scratch.pplus
     horiz = scratch.horiz
-
-    # Bounding box of the target set: distance-to-box is admissible for any
-    # number of targets and collapses to Manhattan distance for one target.
-    # hx/hy/hz hold each axis's integer distance to the box.
-    txs = [nx[t] for t in targets]
-    tys = [ny[t] for t in targets]
-    tzs = [nz[t] for t in targets]
-    txlo, txhi = min(txs), max(txs)
-    tylo, tyhi = min(tys), max(tys)
-    tzlo, tzhi = min(tzs), max(tzs)
-    hx = [*range(txlo, 0, -1), *[0] * (txhi - txlo + 1), *range(1, x_dim - txhi)]
-    hy = [*range(tylo, 0, -1), *[0] * (tyhi - tylo + 1), *range(1, graph.y - tyhi)]
-    hz = [*range(tzlo, 0, -1), *[0] * (tzhi - tzlo + 1), *range(1, top + 1 - tzhi)]
+    hx, hy, fx, fy, vb = _heuristic_tables(graph, targets, scratch)
 
     heap: list[tuple[float, int]] = []
     for s in sources:
@@ -423,7 +513,8 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
             stamp[s] = gen
             gs[s] = 0.0
             pnode[s] = -1
-            heapq.heappush(heap, (float(hx[sx] + hy[sy] + hz[nz[s]]), s))
+            h0 = hx[sx] + hy[sy] + vb[4 * nz[s] + fx[sx] + fy[sy]]
+            heapq.heappush(heap, (float(h0), s))
 
     # Moves are unrolled: planar -/+ along the layer's direction within the
     # region bounds (zero-capacity planar edges are impassable), then via
@@ -431,12 +522,15 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     # ``g + 1 + history + present``, so costs and tie-breaks are exact.
     push = heapq.heappush
     pop = heapq.heappop
+    pops = 0
     while heap:
         _, u = pop(heap)
+        pops += 1
         if closed[u] == gen:
             continue
         closed[u] = gen
         if u in targets:
+            scratch.pops += pops
             edges = []
             nodes = [u]
             v = u
@@ -451,12 +545,15 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
         ux = nx[u]
         uy = ny[u]
         uz = nz[u]
+        hxy = hx[ux] + hy[uy]
+        zf = 4 * uz + fx[ux] + fy[uy]
 
-        # Planar moves step by 1 on 'h' layers and by X on 'v' layers.
+        # Planar moves step by 1 on 'h' layers and by X on 'v' layers and
+        # keep the node's via term ``vb[zf]``.
         if horiz[uz]:
-            at, lo, hi, step, hp, hrest = ux, xlo, xhi, 1, hx, hy[uy] + hz[uz]
+            at, lo, hi, step, hp, hrest = ux, xlo, xhi, 1, hx, hy[uy] + vb[zf]
         else:
-            at, lo, hi, step, hp, hrest = uy, ylo, yhi, x_dim, hy, hx[ux] + hz[uz]
+            at, lo, hi, step, hp, hrest = uy, ylo, yhi, x_dim, hy, hx[ux] + vb[zf]
         if at > lo:
             v = u - step
             if closed[v] != gen:
@@ -496,7 +593,7 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
                     gs[v] = ng
                     pnode[v] = u
                     pedge[v] = eid
-                    push(heap, (ng + (hx[ux] + hy[uy] + hz[uz - 1]), v))
+                    push(heap, (ng + (hxy + vb[zf - 4]), v))
         if uz < top:
             v = u + xy
             if closed[v] != gen:
@@ -508,7 +605,8 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
                     gs[v] = ng
                     pnode[v] = u
                     pedge[v] = eid
-                    push(heap, (ng + (hx[ux] + hy[uy] + hz[uz + 1]), v))
+                    push(heap, (ng + (hxy + vb[zf + 4]), v))
+    scratch.pops += pops
     return None
 
 
@@ -660,11 +758,16 @@ def route_terminal_sets(
                     if dem[e] == cap[e]:
                         overflowed.discard(e)
             pres_fac *= PRESENT_GROWTH
+            # Logged before this iteration's searches, so that the record
+            # marks where the previous pass ended; it carries that pass's
+            # search and heap-pop counts.
             logger.debug(
-                "reroute iteration %d: %d overflowed edges, %d nets",
-                iteration, len(over), len(pending),
+                "reroute iteration %d: %d overflowed edges, %d nets, "
+                "%d searches and %d heap pops in the pass before",
+                iteration, len(over), len(pending), searches, pops,
             )
         # Route in order, committing each net's demand before the next one.
+        gen0, pops0 = scratch.gen, scratch.pops
         for i in pending:
             task = tasks[i]
             edges = _route_one(graph, task, _region(task, BBOX_MARGIN, graph), pres_fac, scratch)
@@ -675,6 +778,10 @@ def route_terminal_sets(
                 if dem[e] > cap[e]:
                     overflowed.add(e)
             routed_edges[i] = edges
+        searches, pops = scratch.gen - gen0, scratch.pops - pops0
+        if iteration == 0:
+            logger.debug("first pass: %d nets, %d searches, %d heap pops",
+                         len(pending), searches, pops)
 
     routes = [NetRoute(net_id=t.net_id, edges=tuple(routed_edges.get(i, ())))
               for i, t in enumerate(tasks)]

@@ -1,8 +1,9 @@
 """Independent reference algorithms used to check the router.
 
 These deliberately re-derive graph traversal from the grid layout instead of
-reusing the router's search code: hop-count BFS for shortest paths and
-exhaustive simple-path enumeration for joint-capacity optima.
+reusing the router's search code: hop-count BFS for shortest paths,
+exhaustive simple-path enumeration for joint-capacity optima, and an
+enumeration of layer walks for the fewest vias a path needs.
 """
 
 from collections import Counter, deque
@@ -90,4 +91,28 @@ def best_joint_cost(graph, paths_a, paths_b):
             joint = ca + Counter(pb)
             if all(joint[e] <= graph.capacity[e] for e in joint):
                 best = total
+    return best
+
+
+def fewest_vias(dirs, z, need_h, need_v):
+    """Per end layer ``e``, the fewest via steps of a walk over the layer
+    stack ``dirs`` from layer ``z`` to ``e`` that visits an 'h' layer if
+    ``need_h`` and a 'v' layer if ``need_v``; None where no walk does.
+
+    A walk visits exactly the layers of a run ``a..b`` around ``z`` and
+    ends at some ``e`` in it; the cheapest walk of that shape sweeps to one
+    end of the run, then to the other, then back to ``e``.  Every run and
+    end is tried.
+    """
+    n = len(dirs)
+    best = [None] * n
+    for a in range(z + 1):
+        for b in range(z, n):
+            run = dirs[a:b + 1]
+            if (need_h and "h" not in run) or (need_v and "v" not in run):
+                continue
+            for e in range(a, b + 1):
+                steps = (b - a) + min((z - a) + (b - e), (b - z) + (e - a))
+                if best[e] is None or steps < best[e]:
+                    best[e] = steps
     return best

@@ -152,6 +152,24 @@ def test_single_net_routes_match_bfs_oracle():
             routes, _ = gr.route_terminal_sets(graph, [("n0", [[a], [b]])],
                                                gr.RouteParams())
             assert len(routes[0].edges) == expected
+    # Stacks of up to 13 layers whose layers above 2 may have no capacity,
+    # and terminals that enter at a run of adjacent layers of one gcell, as
+    # multi-layer pins do: a target spanning several layers is where the
+    # search's via bound differs most from the layer distance.
+    for _ in range(60):
+        x, y, layers = rng.randint(1, 6), rng.randint(1, 6), rng.randint(2, 13)
+        dirs = tuple(rng.sample("hv", 2)) + tuple(rng.choice("hv") for _ in range(layers - 2))
+        caps = (rng.randint(1, 3), rng.randint(1, 3)) + tuple(
+            rng.choice((0, 0, 1, 3)) for _ in range(layers - 2))
+        graph = gr.RoutingGraph(x, y, layers, 1, 100.0, dirs, caps, via_capacity=1)
+        terminals = []
+        for _ in range(2):
+            z0 = rng.randrange(layers)
+            z1 = rng.randint(z0, min(layers - 1, z0 + 4))
+            gx, gy = rng.randrange(x), rng.randrange(y)
+            terminals.append([graph.node_id(gx, gy, z) for z in range(z0, z1 + 1)])
+        routes, _ = gr.route_terminal_sets(graph, [("n0", terminals)], gr.RouteParams())
+        assert len(routes[0].edges) == oracle.bfs_hops(graph, *terminals)
 
 
 def test_route_colocated_terminals_is_empty():

@@ -1,8 +1,9 @@
 """What the benchmark under perfbench/ relies on from routekit.
 
 perfbench/tracing.py reads two of the router's DEBUG records: it counts
-rerouted nets from the third argument of "reroute iteration" records and
-stops on the "overflow stagnant" prefix.  It also times routekit's module
+rerouted nets from the third argument of "reroute iteration" records, takes
+the first such record's time as the end of the first pass, and counts the
+"overflow stagnant" prefix.  It also times routekit's module
 functions by replacing the module attributes the pipeline calls through.
 perfbench/selftest.py runs the benchmark's checks on a tiny design.
 """
@@ -52,13 +53,18 @@ def test_router_log_records_match_tracing(monkeypatch):
         log.removeHandler(handler)
         log.setLevel(level)
 
+    first = [r for r in handler.records if r.msg.startswith("first pass")]
+    assert [r.msg for r in first] == ["first pass: %d nets, %d searches, %d heap pops"]
+    assert first[0].args == (2, 2, 4)  # (nets, searches, heap pops)
     reroutes = [r for r in handler.records if r.msg.startswith("reroute iteration")]
     assert reroutes
     for n, record in enumerate(reroutes, start=1):
-        assert record.msg == "reroute iteration %d: %d overflowed edges, %d nets"
-        assert len(record.args) == 3
+        assert record.msg == ("reroute iteration %d: %d overflowed edges, %d nets, "
+                              "%d searches and %d heap pops in the pass before")
         assert all(type(a) is int for a in record.args)
-        assert record.args == (n, 1, 1)  # (iteration, overflowed edges, nets)
+        # (iteration, overflowed edges, nets, and the previous pass's
+        # searches and heap pops); tracing reads the nets at index 2
+        assert record.args == ((n, 1, 1, 2, 4) if n == 1 else (n, 1, 1, 1, 2))
     assert any(r.msg.startswith("overflow stagnant") for r in handler.records)
 
 

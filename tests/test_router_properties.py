@@ -3,14 +3,16 @@
 Edge ids, the congestion map and the wire metrics must agree on where every
 edge of the lattice lies.  The table-driven A* search and the overflow bookkeeping of the reroute loop
 must give exactly what the frozen references in ``router_reference.py``
-give, and routed nets must be trees whose usage accounts for every unit of
-demand.  The hypothesis profile is bounded and derandomised, so every run
-checks the same examples.
+give, its lower bound must be consistent and its via table must match an
+enumeration of layer walks, and routed nets must be trees whose usage
+accounts for every unit of demand.  The hypothesis profile is bounded and
+derandomised, so every run checks the same examples.
 """
 
 import copy
 
 import router_reference as ref
+import routing_oracles as oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +97,57 @@ def test_astar_matches_frozen_reference(graph, rnd, flat, stacked, calls):
         if got is not None:
             for e in got[0]:
                 graph.demand[e] += 1
+
+
+# --- the search's lower bound
+
+
+@settings(BOUNDED, max_examples=200)
+@given(dirs=st.lists(st.sampled_from("hv"), min_size=1, max_size=13))
+def test_via_bound_table_matches_walk_enumeration(dirs):
+    # Single-direction stacks included: a need that no layer meets gives
+    # NO_WALK.
+    n = len(dirs)
+    table = gr._via_bound_table(tuple(dirs))
+    walks = {(z, need_h, need_v): oracle.fewest_vias(dirs, z, need_h, need_v)
+             for z in range(n) for need_h in (0, 1) for need_v in (0, 1)}
+    for lo in range(n):
+        for hi in range(n):
+            row = table[lo * n + hi]
+            if hi < lo:
+                assert row == []
+                continue
+            for z in range(n):
+                for need_h in (0, 1):
+                    for need_v in (0, 1):
+                        ends = walks[z, need_h, need_v][lo:hi + 1]
+                        want = min((s for s in ends if s is not None), default=gr.NO_WALK)
+                        assert row[4 * z + 2 * need_h + need_v] == want
+
+
+def search_bound(graph, targets):
+    """The A* lower bound toward ``targets``, per node id."""
+    hx, hy, fx, fy, vb = gr._heuristic_tables(graph, targets, gr._Scratch(graph))
+    return [hx[x] + hy[y] + vb[4 * z + fx[x] + fy[y]]
+            for z in range(graph.layers) for y in range(graph.y) for x in range(graph.x)]
+
+
+@settings(BOUNDED, max_examples=300)
+@given(graph=grids(max_side=7, max_layers=8), rnd=st.randoms(use_true_random=False),
+       stacked=st.booleans())
+def test_search_bound_is_consistent_and_zero_on_targets(graph, rnd, stacked):
+    # Every edge costs at least 1, so a consistent bound rises by at most 1
+    # across an edge, either way; then A* returns a cheapest path.
+    nnodes = graph.x * graph.y * graph.layers
+    targets = set(pin_stack(rnd, graph) if stacked else node_sets(rnd, nnodes, 1, 4)[0])
+    h = search_bound(graph, targets)
+    assert all(h[t] == 0 for t in targets)
+    for e in range(graph.num_edges):
+        a, b = graph.edge_endpoints(e)
+        assert h[a] <= 1 + h[b] and h[b] <= 1 + h[a]
+    for u in rnd.sample(range(nnodes), min(8, nnodes)):
+        hops = oracle.bfs_hops(graph, [u], targets)
+        assert hops is not None and h[u] <= hops
 
 
 # --- routed nets
