@@ -25,9 +25,10 @@ class FabricKind(str, enum.Enum):
     S3DC = "s3dc"
 
 
-# Per-fabric defaults.  Gcell-edge capacity is deliberately equal across
-# fabrics so congestion differences come from pin density and layer count,
-# not from hand-tuned track budgets.
+# Per-fabric defaults.  Every layer holds DEFAULT_EDGE_CAPACITY tracks per
+# gcell edge, whatever the gcell's size in nm.  At the default 3-site gcell
+# that is a 27 nm pitch on 2d and tmi and a 12 nm pitch on s3dc, so s3dc gets
+# 2.25x the tracks per um (README, "Notes on modeling scope").
 DEFAULT_EDGE_CAPACITY = 10
 DEFAULT_VIA_CAPACITY = 4
 DEFAULT_CAP_FF_PER_UM = 0.2

@@ -153,12 +153,15 @@ def place_job(spec: JobSpec) -> PlacedJob:
     design = load_design(spec)
     for error in nl.validate(design):
         raise JobError(f"netlist invalid: {error}")
+    label = spec.label or f"{fabric.kind.value}:{design.name}"
+    if "," in label or label.splitlines() != [label]:
+        raise JobError(f"label {label!r} holds a comma or a line break; report.csv cannot hold it")
     design = fab.bind_masters(design, fabric)
     die = pl.size_die(design, fabric, spec.utilization)
     config = pl.AnnealConfig(moves_per_temp=spec.moves_per_temp, max_temps=spec.max_temps)
     placement = pl.place(design, fabric, die, seed=spec.seed, config=config)
     meta = {
-        "label": spec.label or f"{fabric.kind.value}:{design.name}",
+        "label": label,
         "fabric": spec.fabric,
         "die_width": die.width,
         "die_height": die.height,

@@ -131,7 +131,10 @@ def ppa(rows: list[BenchmarkReport], baseline_label: str) -> dict[str, float]:
 
 
 def percent_delta(value: float, base: float) -> int:
-    """Signed integer percent change vs. a baseline value."""
+    """Signed integer percent change vs. a baseline value; 0 between equal
+    values, zero included."""
+    if value == base:
+        return 0
     if base == 0:
         raise MetricsError("cannot take a percent delta against zero")
     return int(round((value - base) / base * 100.0))

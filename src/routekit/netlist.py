@@ -5,9 +5,10 @@ The text format is line oriented and order independent::
     # comment
     master NAND3 pins A B C OUT
     cell u1 NAND3
-    cell u2 NAND3 seq
+    cell u2 NAND3
     net n1 u1.OUT u2.A
 
+A cell or net id holds no comma.  An error names its line and column.
 Pin direction is inferred from the pin name: ``o``, ``out``, ``q``, ``y``
 and ``z`` (case-insensitive) are outputs, everything else is an input.
 
@@ -20,6 +21,7 @@ distribution with mean 3, truncated at 16 terminals.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .fabric import CellMaster, PinDef
@@ -40,7 +42,6 @@ class NetlistParseError(ValueError):
 class CellInstance:
     id: str
     master: str
-    is_sequential: bool = False
 
 
 @dataclass
@@ -84,11 +85,14 @@ def _unbound_master(name: str, pin_names: list[str]) -> CellMaster:
 
 
 def parse_netlist(text: str, name: str = "netlist") -> Netlist:
+    """The netlist in ``text``.  A syntax error, or the first error that
+    ``validate`` would list, raises NetlistParseError at the line and column
+    of the cell id, net id or terminal that it names."""
     masters: dict[str, CellMaster] = {}
     cells: list[CellInstance] = []
-    cell_ids: dict[str, int] = {}
-    net_lines: list[tuple[int, list[tuple[str, int]]]] = []
-    net_ids: dict[str, int] = {}
+    nets: list[Net] = []
+    # The line of each cell and net, and its tokens after the directive.
+    at: dict[str, list[tuple[int, list[tuple[str, int]]]]] = {"cell": [], "net": []}
 
     def tokens_with_cols(line: str) -> list[tuple[str, int]]:
         out = []
@@ -116,63 +120,32 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 raise NetlistParseError(f"master {mname!r} repeats a pin name", lineno, toks[3][1])
             masters[mname] = _unbound_master(mname, pin_names)
         elif key == "cell":
-            if len(toks) not in (3, 4):
-                raise NetlistParseError("expected 'cell <id> <master> [seq]'", lineno, toks[0][1])
-            cid = toks[1][0]
-            if cid in cell_ids:
-                raise NetlistParseError(f"duplicate cell id {cid!r}", lineno, toks[1][1])
-            seq = False
-            if len(toks) == 4:
-                if toks[3][0] != "seq":
-                    raise NetlistParseError(f"unexpected token {toks[3][0]!r}", lineno, toks[3][1])
-                seq = True
-            cell_ids[cid] = lineno
-            cells.append(CellInstance(id=cid, master=toks[2][0], is_sequential=seq))
+            if len(toks) < 3:
+                raise NetlistParseError("expected 'cell <id> <master>'", lineno, toks[0][1])
+            if len(toks) > 3:
+                raise NetlistParseError(f"unexpected token {toks[3][0]!r}", lineno, toks[3][1])
+            at[key].append((lineno, toks[1:2]))
+            cells.append(CellInstance(id=toks[1][0], master=toks[2][0]))
         elif key == "net":
             if len(toks) < 3:
                 raise NetlistParseError("net needs an id and at least one terminal", lineno, toks[0][1])
-            nid = toks[1][0]
-            if nid in net_ids:
-                raise NetlistParseError(f"duplicate net id {nid!r}", lineno, toks[1][1])
-            net_ids[nid] = lineno
-            net_lines.append((lineno, toks[1:]))
+            terminals = []
+            for tok, col in toks[2:]:
+                cid, dot, pin = tok.partition(".")
+                if not dot:
+                    raise NetlistParseError(f"terminal {tok!r} must be <cell>.<pin>", lineno, col)
+                terminals.append((cid, pin))
+            at[key].append((lineno, toks[1:]))
+            nets.append(Net(id=toks[1][0], terminals=terminals))
         else:
             raise NetlistParseError(f"unknown directive {key!r}", lineno, toks[0][1])
 
-    # Resolution pass: sections may arrive in any order, so references are
-    # checked only after the whole file is read.
-    for cell in cells:
-        if cell.master not in masters:
-            line = cell_ids[cell.id]
-            raise NetlistParseError(
-                f"cell {cell.id!r} references undeclared master {cell.master!r}", line
-            )
-
-    by_id = {c.id: c for c in cells}
-    nets: list[Net] = []
-    for lineno, toks in net_lines:
-        nid = toks[0][0]
-        terminals: list[tuple[str, str]] = []
-        seen: set[tuple[str, str]] = set()
-        for tok, col in toks[1:]:
-            if "." not in tok:
-                raise NetlistParseError(f"terminal {tok!r} must be <cell>.<pin>", lineno, col)
-            cid, pin = tok.split(".", 1)
-            cell = by_id.get(cid)
-            if cell is None:
-                raise NetlistParseError(f"net {nid!r} references unknown cell {cid!r}", lineno, col)
-            master = masters[cell.master]
-            if all(p.name != pin for p in master.pins):
-                raise NetlistParseError(
-                    f"net {nid!r}: master {master.name!r} has no pin {pin!r}", lineno, col
-                )
-            if (cid, pin) in seen:
-                raise NetlistParseError(f"net {nid!r} repeats terminal {tok!r}", lineno, col)
-            seen.add((cid, pin))
-            terminals.append((cid, pin))
-        nets.append(Net(id=nid, terminals=terminals))
-
-    return Netlist(name=name, masters=masters, cells=cells, nets=nets)
+    netlist = Netlist(name=name, masters=masters, cells=cells, nets=nets)
+    # Sections come in any order, so references are checked after the last line.
+    for message, (directive, i, k) in _errors(netlist):
+        lineno, toks = at[directive][i]
+        raise NetlistParseError(message, lineno, toks[k][1])
+    return netlist
 
 
 def serialize_netlist(netlist: Netlist) -> str:
@@ -180,51 +153,57 @@ def serialize_netlist(netlist: Netlist) -> str:
     for master in netlist.masters.values():
         lines.append(f"master {master.name} pins " + " ".join(p.name for p in master.pins))
     for cell in netlist.cells:
-        suffix = " seq" if cell.is_sequential else ""
-        lines.append(f"cell {cell.id} {cell.master}{suffix}")
+        lines.append(f"cell {cell.id} {cell.master}")
     for net in netlist.nets:
         terms = " ".join(f"{c}.{p}" for c, p in net.terminals)
         lines.append(f"net {net.id} {terms}")
     return "\n".join(lines) + "\n"
 
 
-def validate(netlist: Netlist) -> list[str]:
-    """The structural errors of a netlist, such as one built in code: a
-    repeated cell or net id, an unknown master, cell or pin, a net without
-    terminals or with a repeated one.  Empty for a consistent netlist.  A
-    dangling (single-terminal) net is no error: ``globalroute.route`` skips
-    it with a warning."""
-    errors = []
-    seen_cells: set[str] = set()
-    for cell in netlist.cells:
-        if cell.id in seen_cells:
-            errors.append(f"duplicate cell id {cell.id!r}")
-        seen_cells.add(cell.id)
+def _errors(netlist: Netlist) -> Iterator[tuple[str, tuple[str, int, int]]]:
+    """Each consistency error of ``netlist``, cell errors first, with where it
+    is: ``("cell", i, 0)`` for cell i, ``("net", i, 0)`` for the id of net i
+    and ``("net", i, k)`` for its k-th terminal, counting from 1."""
+    by_id: dict[str, CellInstance] = {}
+    for i, cell in enumerate(netlist.cells):
+        if "," in cell.id:
+            yield f"cell id {cell.id!r} holds a comma", ("cell", i, 0)
+        if cell.id in by_id:
+            yield f"duplicate cell id {cell.id!r}", ("cell", i, 0)
+        by_id.setdefault(cell.id, cell)
         if cell.master not in netlist.masters:
-            errors.append(f"cell {cell.id!r} references unknown master {cell.master!r}")
+            yield f"cell {cell.id!r} references unknown master {cell.master!r}", ("cell", i, 0)
 
-    by_id = {c.id: c for c in netlist.cells}
-    seen_nets: set[str] = set()
-    for net in netlist.nets:
-        if net.id in seen_nets:
-            errors.append(f"duplicate net id {net.id!r}")
-        seen_nets.add(net.id)
+    net_ids: set[str] = set()
+    for i, net in enumerate(netlist.nets):
+        if "," in net.id:
+            yield f"net id {net.id!r} holds a comma", ("net", i, 0)
+        if net.id in net_ids:
+            yield f"duplicate net id {net.id!r}", ("net", i, 0)
+        net_ids.add(net.id)
         if not net.terminals:
-            errors.append(f"net {net.id!r} has no terminals")
-            continue
-        seen_terms: set[tuple[str, str]] = set()
-        for cid, pin in net.terminals:
+            yield f"net {net.id!r} has no terminals", ("net", i, 0)
+        seen: set[tuple[str, str]] = set()
+        for k, (cid, pin) in enumerate(net.terminals, start=1):
             cell = by_id.get(cid)
             if cell is None:
-                errors.append(f"net {net.id!r} references unknown cell {cid!r}")
+                yield f"net {net.id!r} references unknown cell {cid!r}", ("net", i, k)
                 continue
             master = netlist.masters.get(cell.master)
             if master is not None and all(p.name != pin for p in master.pins):
-                errors.append(f"net {net.id!r}: no pin {pin!r} on master {cell.master!r}")
-            if (cid, pin) in seen_terms:
-                errors.append(f"net {net.id!r} repeats terminal {cid}.{pin}")
-            seen_terms.add((cid, pin))
-    return errors
+                yield f"net {net.id!r}: master {cell.master!r} has no pin {pin!r}", ("net", i, k)
+            if (cid, pin) in seen:
+                yield f"net {net.id!r} repeats terminal {cid}.{pin}", ("net", i, k)
+            seen.add((cid, pin))
+
+
+def validate(netlist: Netlist) -> list[str]:
+    """The consistency errors of a netlist, such as one built in code: an id
+    that holds a comma, a repeated cell or net id, an unknown master, cell or
+    pin, a net without terminals or with a repeated one.  Empty for a
+    consistent netlist.  A dangling (single-terminal) net is no error:
+    ``globalroute.route`` skips it with a warning."""
+    return [message for message, _ in _errors(netlist)]
 
 
 @dataclass(frozen=True)

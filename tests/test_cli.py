@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 import routekit
-from routekit import flow, netlist as nl
+from routekit import flow, netlist as nl, placement as pl
 from routekit.cli import main
 
 FAST = ["--moves-per-temp", "500", "--max-temps", "10"]
@@ -115,6 +115,46 @@ def test_run_bad_netlist_reports_line(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "c9" in err
+
+
+@pytest.mark.parametrize("fabric", ["2d", "tmi"])
+def test_run_with_zero_wirelength_exits_0_with_zero_deltas(tmp_path, fabric):
+    # both nets route over vias only, so the run's own baseline has no wire
+    net = tmp_path / "n.net"
+    net.write_text("master M pins i1 o\ncell c1 M\ncell c2 M\n"
+                   "net n1 c1.o c2.i1\nnet n2 c2.o c1.i1\n")
+    assert run_cli("run", "--netlist", net, "--fabric", fabric, "-o", tmp_path / "out") == 0
+    (row,) = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert row["total_wirelength_mm"] == 0
+    deltas = {k: v for k, v in row.items() if k.endswith("_delta_pct")}
+    assert len(deltas) == 6 and set(deltas.values()) == {0}
+
+
+@pytest.mark.parametrize("text, where", [
+    ("master M pins A OUT\ncell a,b M\ncell c2 M\nnet n1 a,b.OUT c2.A\n", "line 2, col 6"),
+    ("master M pins A OUT\ncell c1 M\ncell c2 M\nnet n,1 c1.OUT c2.A\n", "line 4, col 5"),
+])
+def test_place_rejects_an_id_with_a_comma_at_its_place(tmp_path, capsys, text, where):
+    # placement.csv and routes.txt separate their fields with commas
+    net = tmp_path / "n.net"
+    net.write_text(text)
+    assert run_cli("place", "--netlist", net, "-o", tmp_path / "out") == 2
+    assert f"{where}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("netlist_name, label", [
+    ("n.net", "x,y"), ("n.net", "x\ny"), ("a,b.net", None),
+])
+@pytest.mark.parametrize("command", ["place", "run"])
+def test_label_with_a_comma_or_line_break_exits_2_before_placement(
+        tmp_path, capsys, command, netlist_name, label):
+    net = gen_netlist(tmp_path / netlist_name)
+    flags = ["--label", label] if label is not None else []
+    with mock.patch.object(pl, "place", side_effect=AssertionError("placement ran")):
+        assert run_cli(command, "--netlist", net, *flags, "-o", tmp_path / "out") == 2
+    assert "routekit: error: label " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def make_runs(tmp_path, fabrics=("2d", "tmi", "s3dc")):

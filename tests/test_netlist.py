@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ MINIMAL = """\
 # two NAND3s wired output to input
 master NAND3 pins A B C OUT
 cell c1 NAND3
-cell c2 NAND3 seq
+cell c2 NAND3
 net n1 c1.OUT c2.A
 """
 
@@ -18,8 +20,6 @@ def test_parse_minimal():
     assert len(d.cells) == 2
     assert len(d.nets) == 1
     assert d.nets[0].terminals == [("c1", "OUT"), ("c2", "A")]
-    assert d.cells[1].is_sequential
-    assert not d.cells[0].is_sequential
 
 
 def test_parse_infers_driver_from_output_pin():
@@ -60,6 +60,13 @@ def test_parse_syntax_error_carries_line_and_column():
     assert err.value.column == 1
 
 
+def test_parse_rejects_a_fourth_cell_token():
+    text = "master NAND3 pins A OUT\ncell u2 NAND3 seq\n"
+    with pytest.raises(nl.NetlistParseError, match="unexpected token 'seq'") as err:
+        nl.parse_netlist(text)
+    assert (err.value.line, err.value.column) == (2, 15)
+
+
 def test_parse_repeated_terminal_rejected():
     text = "master M pins A B\ncell c1 M\nnet n1 c1.A c1.A\n"
     with pytest.raises(nl.NetlistParseError, match="repeats terminal"):
@@ -69,7 +76,7 @@ def test_parse_repeated_terminal_rejected():
 def test_parse_order_independent_sections():
     shuffled = """\
 net n1 c1.OUT c2.A
-cell c2 NAND3 seq
+cell c2 NAND3
 cell c1 NAND3
 master NAND3 pins A B C OUT
 """
@@ -102,6 +109,52 @@ def test_roundtrip_property(cells, rent_exponent, pins_per_cell, seed):
         num_cells=cells, rent_exponent=rent_exponent, avg_pins_per_cell=pins_per_cell, seed=seed,
     ))
     assert nl.parse_netlist(nl.serialize_netlist(d), name=d.name) == d
+
+
+CONSISTENT = "master M pins A B OUT\ncell c1 M\ncell c2 M\nnet n1 c1.OUT c2.A\n"
+
+
+@pytest.mark.parametrize("line, message, column", [
+    ("cell a,b M", "cell id 'a,b' holds a comma", 6),
+    ("cell c1 M", "duplicate cell id 'c1'", 6),
+    ("cell c3 X", "cell 'c3' references unknown master 'X'", 6),
+    ("net n,2 c1.OUT c2.B", "net id 'n,2' holds a comma", 5),
+    ("net n1 c1.OUT c2.B", "duplicate net id 'n1'", 5),
+    ("net n2 c1.OUT c9.B", "net 'n2' references unknown cell 'c9'", 15),
+    ("net n2 c1.OUT c2.Q", "net 'n2': master 'M' has no pin 'Q'", 15),
+    ("net n2 c1.OUT c2.B c1.OUT", "net 'n2' repeats terminal c1.OUT", 20),
+], ids=["cell-comma", "cell-repeated", "master-unknown", "net-comma", "net-repeated",
+        "cell-unknown", "pin-unknown", "terminal-repeated"])
+def test_each_rule_is_parsed_at_its_place_and_validated_alike(line, message, column):
+    # one netlist with one error, as text and built in code
+    with pytest.raises(nl.NetlistParseError) as err:
+        nl.parse_netlist(CONSISTENT + line + "\n")
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line 5, col {column}: {message}", 5, column)
+    built = nl.parse_netlist(CONSISTENT)
+    directive, ident, *rest = line.split()
+    if directive == "cell":
+        built.cells.append(nl.CellInstance(id=ident, master=rest[0]))
+    else:
+        built.nets.append(nl.Net(id=ident, terminals=[tuple(t.split(".")) for t in rest]))
+    assert nl.validate(built) == [message]
+
+
+def test_validate_flags_net_without_terminals():
+    # the text format cannot hold such a net: the parser rejects its syntax
+    built = nl.parse_netlist(CONSISTENT)
+    built.nets.append(nl.Net(id="n2", terminals=[]))
+    assert nl.validate(built) == ["net 'n2' has no terminals"]
+
+
+def test_readme_netlist_block_parses():
+    # the README's example netlist stays in step with the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\nNetlist (", 1)[1].split("```\n")[1]
+    d = nl.parse_netlist(block)
+    assert [c.id for c in d.cells] == ["u1", "u2"]
+    assert d.nets[0].terminals == [("u1", "OUT"), ("u2", "A")]
+    assert nl.validate(d) == []
 
 
 def test_validate_clean_netlist_is_empty():
