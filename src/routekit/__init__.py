@@ -35,7 +35,7 @@ from .netlist import (
     serialize_netlist,
     validate,
 )
-from .placement import Die, Placement, hpwl, pin_density_of, place, size_die
+from .placement import Die, Placement, hpwl, place, size_die
 from .rent import (
     DemandEstimate,
     PinDensityInput,

@@ -224,10 +224,6 @@ def builtin_fabric(kind: str | FabricKind) -> FabricSpec:
     )
 
 
-def default_access_count(kind: FabricKind, direction: str) -> int:
-    return _ACCESS_COUNT[kind]["output" if direction == "output" else "input"]
-
-
 def _site_order(width: int, height: int) -> list[tuple[int, int]]:
     # Sites sorted center-outward so the first access of the first pin lands
     # at the cell center and later accesses spread deterministically.
@@ -287,12 +283,10 @@ def bind_masters(netlist, fabric: FabricSpec):
     Pin names and directions are preserved; footprints and access points are
     rebuilt with the fabric's defaults and its access layers.
     """
+    counts = _ACCESS_COUNT[fabric.kind]
     rebuilt = {}
     for mname, master in netlist.masters.items():
-        spec = [
-            (pin.name, pin.direction, default_access_count(fabric.kind, pin.direction))
-            for pin in master.pins
-        ]
+        spec = [(pin.name, pin.direction, counts[pin.direction]) for pin in master.pins]
         rebuilt[mname] = make_cell_master(fabric, spec, name=mname)
     return dataclasses.replace(netlist, masters=rebuilt)
 

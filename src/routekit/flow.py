@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fabric as fab
 from . import globalroute as gr
-from . import metrics, netlist as nl, placement as pl
+from . import metrics, netlist as nl, placement as pl, rent
 
 
 class JobError(ValueError):
@@ -166,7 +166,8 @@ def place_job(spec: JobSpec) -> PlacedJob:
         "die_width": die.width,
         "die_height": die.height,
         "utilization": die.utilization,
-        **asdict(pl.pin_density_of(placement, design, fabric)),
+        **asdict(rent.PinDensityInput(design.total_terminals, die.area_um2,
+                                      fabric.pin_access_layers)),
         "hpwl_sites": pl.hpwl(design, placement),
         "seed": spec.seed,
     }

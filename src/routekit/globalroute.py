@@ -230,16 +230,6 @@ class CongestionMap:
     via_demand: np.ndarray
     via_capacity: np.ndarray
 
-    def layer_max_ratio(self, layer0: int) -> float:
-        dem = self.layer_demand[layer0]
-        if dem.size == 0:
-            return 0.0
-        return float(_edge_ratio(dem, self.layer_capacity[layer0]).max())
-
-    def layer_aggregate_ratio(self, layer0: int) -> float:
-        return float(_edge_ratio(self.layer_demand[layer0].sum(),
-                                self.layer_capacity[layer0].sum()))
-
     @property
     def overflow_edge_count(self) -> int:
         count = 0
@@ -289,16 +279,15 @@ def demand_resource_ratios(cmap: CongestionMap) -> list[LayerRatio]:
     them too.
     """
     rows = []
-    for li in range(len(cmap.layer_dirs)):
-        rows.append(
-            LayerRatio(
-                layer=li + 1,
-                demand=int(cmap.layer_demand[li].sum()),
-                capacity=int(cmap.layer_capacity[li].sum()),
-                aggregate_ratio=cmap.layer_aggregate_ratio(li),
-                max_edge_ratio=cmap.layer_max_ratio(li),
-            )
-        )
+    for li, (dem, cap) in enumerate(zip(cmap.layer_demand, cmap.layer_capacity)):
+        demand, capacity = int(dem.sum()), int(cap.sum())
+        rows.append(LayerRatio(
+            layer=li + 1,
+            demand=demand,
+            capacity=capacity,
+            aggregate_ratio=float(_edge_ratio(demand, capacity)),
+            max_edge_ratio=float(_edge_ratio(dem, cap).max()) if dem.size else 0.0,
+        ))
     return rows
 
 
@@ -306,17 +295,16 @@ def demand_resource_ratios(cmap: CongestionMap) -> list[LayerRatio]:
 # The router core
 
 
-def _prim_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _prim_order(points: list[tuple[int, int]]) -> list[int]:
     """MST construction order over terminal gcells (rectilinear metric).
 
-    Returns (new_terminal, tree_terminal) attachment pairs in the order
-    Prim's algorithm adds them, starting from terminal 0.
+    Returns the terminals other than terminal 0 in the order Prim's
+    algorithm attaches them to the tree that starts at terminal 0.
     """
     t = len(points)
     in_tree = [False] * t
     in_tree[0] = True
     dist = [0] * t
-    near = [0] * t
     for i in range(1, t):
         dist[i] = abs(points[i][0] - points[0][0]) + abs(points[i][1] - points[0][1])
     order = []
@@ -325,7 +313,7 @@ def _prim_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
         for i in range(t):
             if not in_tree[i] and (best_d is None or (dist[i], i) < (best_d, best)):
                 best, best_d = i, dist[i]
-        order.append((best, near[best]))
+        order.append(best)
         in_tree[best] = True
         bx, by = points[best]
         for i in range(t):
@@ -333,7 +321,6 @@ def _prim_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
                 d = abs(points[i][0] - bx) + abs(points[i][1] - by)
                 if d < dist[i]:
                     dist[i] = d
-                    near[i] = best
     return order
 
 
@@ -617,7 +604,7 @@ class _NetTask:
     reps: list[tuple[int, int]]  # representative gcell per terminal
     bbox: tuple[int, int, int, int]
     hp: int
-    order: list[tuple[int, int]] = field(default_factory=list)  # MST attach pairs
+    order: list[int] = field(default_factory=list)  # MST attach order, after terminal 0
 
 
 def _region(task: _NetTask, margin: int, graph: RoutingGraph) -> tuple[int, int, int, int]:
@@ -636,11 +623,11 @@ def _route_one(graph: RoutingGraph, task: _NetTask, bounds, pres_fac: float,
     entry_sets = [set(e) for e in task.entries]
     tree_nodes: set[int] | None = None
     edges: list[int] = []
-    for new_t, from_t in task.order:
-        targets = entry_sets[new_t]
+    for t in task.order:
+        targets = entry_sets[t]
         if tree_nodes is None:
-            sources = task.entries[from_t]
-            common = entry_sets[from_t] & targets
+            sources = task.entries[0]
+            common = entry_sets[0] & targets
             if common:
                 tree_nodes = {min(common)}
                 continue
@@ -710,6 +697,8 @@ def route_terminal_sets(
     overflowed = {e for e in range(graph.num_edges) if dem[e] > cap[e]}
     best_overflow = None
     stale = 0
+    passes = 0
+    stop = "max_iters"
     pending = list(order)
     for iteration in range(params.max_iters + 1):
         if iteration > 0:
@@ -746,10 +735,13 @@ def route_terminal_sets(
                         need -= 1
             pending = [i for i in order if i in ripped]
             if not pending:
+                stop = "nothing to reroute"
                 break
             if stale >= STAGNATION_ITERS and len(pending) > STAGNATION_MIN_NETS:
                 logger.debug("overflow stagnant for %d iterations, stopping", stale)
+                stop = "stagnation"
                 break
+            passes = iteration
             for e in over:
                 graph.history[e] += HISTORY_INCREMENT * (dem[e] - cap[e])
             for i in pending:
@@ -782,6 +774,9 @@ def route_terminal_sets(
         if iteration == 0:
             logger.debug("first pass: %d nets, %d searches, %d heap pops",
                          len(pending), searches, pops)
+    logger.debug("router stopped after %d reroute passes: %s; the last pass made "
+                 "%d searches and %d heap pops", passes,
+                 "converged" if not overflowed else stop, searches, pops)
 
     routes = [NetRoute(net_id=t.net_id, edges=tuple(routed_edges.get(i, ())))
               for i, t in enumerate(tasks)]

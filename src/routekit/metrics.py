@@ -130,13 +130,14 @@ def ppa(rows: list[BenchmarkReport], baseline_label: str) -> dict[str, float]:
     }
 
 
-def percent_delta(value: float, base: float) -> int:
+def percent_delta(value: float, base: float) -> int | None:
     """Signed integer percent change vs. a baseline value; 0 between equal
-    values, zero included."""
+    values, zero included.  None for another value against a zero baseline,
+    where the change has no value."""
     if value == base:
         return 0
     if base == 0:
-        raise MetricsError("cannot take a percent delta against zero")
+        return None
     return int(round((value - base) / base * 100.0))
 
 
@@ -178,7 +179,10 @@ def report_records(rows: list[BenchmarkReport], baseline_label: str) -> list[dic
 
 
 def fmt(value) -> str:
-    """A CSV cell: floats with 10 significant digits, everything else as str."""
+    """A CSV cell: empty for None, floats with 10 significant digits,
+    everything else as str."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format(value, ".10g")
     return str(value)

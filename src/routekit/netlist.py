@@ -8,7 +8,8 @@ The text format is line oriented and order independent::
     cell u2 NAND3
     net n1 u1.OUT u2.A
 
-A cell or net id holds no comma.  An error names its line and column.
+A cell or net id holds no comma, and a cell id no dot, since a terminal
+splits at its first dot.  An error names its line and column.
 Pin direction is inferred from the pin name: ``o``, ``out``, ``q``, ``y``
 and ``z`` (case-insensitive) are outputs, everything else is an input.
 
@@ -168,6 +169,8 @@ def _errors(netlist: Netlist) -> Iterator[tuple[str, tuple[str, int, int]]]:
     for i, cell in enumerate(netlist.cells):
         if "," in cell.id:
             yield f"cell id {cell.id!r} holds a comma", ("cell", i, 0)
+        if "." in cell.id:
+            yield f"cell id {cell.id!r} holds a dot", ("cell", i, 0)
         if cell.id in by_id:
             yield f"duplicate cell id {cell.id!r}", ("cell", i, 0)
         by_id.setdefault(cell.id, cell)
@@ -199,10 +202,11 @@ def _errors(netlist: Netlist) -> Iterator[tuple[str, tuple[str, int, int]]]:
 
 def validate(netlist: Netlist) -> list[str]:
     """The consistency errors of a netlist, such as one built in code: an id
-    that holds a comma, a repeated cell or net id, an unknown master, cell or
-    pin, a net without terminals or with a repeated one.  Empty for a
-    consistent netlist.  A dangling (single-terminal) net is no error:
-    ``globalroute.route`` skips it with a warning."""
+    that holds a comma, a cell id that holds a dot, a repeated cell or net
+    id, an unknown master, cell or pin, a net without terminals or with a
+    repeated one.  Empty for a consistent netlist.  A dangling
+    (single-terminal) net is no error: ``globalroute.route`` skips it with a
+    warning."""
     return [message for message, _ in _errors(netlist)]
 
 
@@ -312,32 +316,25 @@ def generate_synthetic(params: SynthesisParams) -> Netlist:
         amp /= ratio**0.7
     assert net_cells is not None
 
-    # One output pin per cell; the first net to claim a cell's output drives
-    # that net, every other terminal lands on a fresh input pin.  A driven
-    # net lists its driver first.
-    driven_by: list[int | None] = [None] * n
-    driver_cell: list[int | None] = [None] * len(net_cells)
-    for net_idx, hosts in enumerate(net_cells):
-        for c in hosts:
-            if driven_by[c] is None:
-                driven_by[c] = net_idx
-                driver_cell[net_idx] = c
-                break
-
+    # One output pin per cell: a net's driver is its first host whose output
+    # no earlier net claimed, and every other terminal lands on a fresh input
+    # pin.  A net's hosts are distinct cells.  A driven net lists its driver
+    # first.
+    claimed = [False] * n
     input_count = [0] * n
     net_terminals: list[list[tuple[int, str]]] = []
-    for net_idx, hosts in enumerate(net_cells):
+    for hosts in net_cells:
         terms: list[tuple[int, str]] = []
-        driver_done = False
+        di = -1
         for c in hosts:
-            if not driver_done and driver_cell[net_idx] == c:
+            if di < 0 and not claimed[c]:
+                claimed[c] = True
+                di = len(terms)
                 terms.append((c, "o"))
-                driver_done = True
             else:
                 input_count[c] += 1
                 terms.append((c, f"i{input_count[c]}"))
-        if driver_done and terms[0][1] != "o":
-            di = next(i for i, t in enumerate(terms) if t[1] == "o")
+        if di > 0:
             terms[0], terms[di] = terms[di], terms[0]
         net_terminals.append(terms)
 

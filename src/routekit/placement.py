@@ -50,7 +50,6 @@ import numpy as np
 
 from .fabric import FabricSpec
 from .netlist import Netlist
-from .rent import PinDensityInput
 
 
 logger = logging.getLogger(__name__)
@@ -650,13 +649,3 @@ def illegal_cell(netlist: Netlist, placement: Placement) -> tuple[str, str] | No
                     return cid, f"cell {cid!r} overlaps cell {owner[site]!r}"
                 owner[site] = cid
     return None
-
-
-def pin_density_of(placement: Placement, netlist: Netlist, fabric: FabricSpec) -> PinDensityInput:
-    """Pin-density inputs for the analytic demand model: connected terminal
-    count, die area, and the fabric's pin-access layer count."""
-    return PinDensityInput(
-        total_pins=netlist.total_terminals,
-        die_area_um2=placement.die.area_um2,
-        pin_access_layers=fabric.pin_access_layers,
-    )

@@ -130,6 +130,27 @@ def test_run_with_zero_wirelength_exits_0_with_zero_deltas(tmp_path, fabric):
     assert len(deltas) == 6 and set(deltas.values()) == {0}
 
 
+def test_compare_leaves_a_delta_against_a_zero_baseline_empty(tmp_path):
+    # on 2d both nets route over vias only, so the baseline has no wire;
+    # on s3dc they do not
+    net = tmp_path / "n.net"
+    net.write_text("master M pins i1 o\ncell c1 M\ncell c2 M\n"
+                   "net n1 c1.o c2.i1\nnet n2 c2.o c1.i1\n")
+    for kind in ("2d", "s3dc"):
+        assert run_cli("run", "--netlist", net, "--fabric", kind, "-o", tmp_path / kind) == 0
+    out = tmp_path / "cmp"
+    assert run_cli("compare", tmp_path / "2d", tmp_path / "s3dc", "--baseline", "2d:n",
+                   "-o", out) == 0
+    base, row = json.loads((out / "report.json").read_text())["rows"]
+    assert base["wire_power_mw"] == 0 < row["wire_power_mw"]
+    assert row["total_wirelength_mm_delta_pct"] is row["wire_power_mw_delta_pct"] is None
+    assert type(row["footprint_um2_delta_pct"]) is int
+    header, _, line = (out / "report.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), line.split(",")))
+    assert cells["wire_power_mw_delta_pct"] == cells["total_wirelength_mm_delta_pct"] == ""
+    assert cells["footprint_um2_delta_pct"] == str(row["footprint_um2_delta_pct"])
+
+
 @pytest.mark.parametrize("text, where", [
     ("master M pins A OUT\ncell a,b M\ncell c2 M\nnet n1 a,b.OUT c2.A\n", "line 2, col 6"),
     ("master M pins A OUT\ncell c1 M\ncell c2 M\nnet n,1 c1.OUT c2.A\n", "line 4, col 5"),

@@ -147,7 +147,7 @@ def test_bind_masters_rebuilds_geometry():
     assert (master.width, master.height) == (3, 3)
     assert master.pin("A").direction == "input"
     assert master.pin("OUT").direction == "output"
-    assert len(master.pin("A").accesses) == fab.default_access_count(spec.kind, "input")
+    assert len(master.pin("A").accesses) == 5  # s3dc's input access count
     # original untouched
     assert d.masters["NAND3"].width == 1
 

@@ -404,19 +404,54 @@ def test_via_overflow_flags_congested():
     assert cmap.congested is True
 
 
+def via_graph():
+    # one gcell, two layers: the only edge is a capacity-1 via
+    return gr.RoutingGraph(1, 1, 2, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
+
+
+def closing_record(caplog, graph, nets, params=None):
+    """The args of the router's one closing record: (reroute passes, stop
+    reason, the last pass's searches, its heap pops)."""
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="routekit.globalroute"):
+        gr.route_terminal_sets(graph, nets, params)
+    (record,) = [r for r in caplog.records if r.msg.startswith("router stopped")]
+    reroutes = [r for r in caplog.records if r.msg.startswith("reroute iteration")]
+    assert record.args[0] == len(reroutes)
+    return record.args
+
+
+def test_router_closing_record_gives_each_stop_reason(caplog, monkeypatch):
+    one, two = [("na", [[0], [1]])], [("na", [[0], [1]]), ("nb", [[0], [1]])]
+    assert closing_record(caplog, via_graph(), one) == (0, "converged", 1, 2)
+    assert closing_record(caplog, via_graph(), one, gr.RouteParams(max_iters=0)) == (
+        0, "converged", 1, 2)
+    # two nets share the via: the overflow never clears
+    assert closing_record(caplog, via_graph(), two, gr.RouteParams(max_iters=0)) == (
+        0, "max_iters", 2, 4)
+    assert closing_record(caplog, via_graph(), two, gr.RouteParams(max_iters=3)) == (
+        3, "max_iters", 1, 2)
+    graph = via_graph()
+    graph.demand[graph.via_base] = 2  # an overflow that no routed net holds
+    assert closing_record(caplog, graph, []) == (0, "nothing to reroute", 0, 0)
+    monkeypatch.setattr(gr, "STAGNATION_MIN_NETS", 0)
+    passes, *rest = closing_record(caplog, via_graph(), two)
+    assert 0 < passes < gr.RouteParams().max_iters
+    assert rest == ["stagnation", 1, 2]
+
+
 def test_zero_capacity_edge_ratio_agrees_everywhere():
     graph = gr.RoutingGraph(3, 1, 2, 1, 100.0, ("h", "v"), (0, 10), via_capacity=1)
     graph.demand[0] = 1
     cmap = gr.build_congestion_map(graph)
-    assert cmap.layer_max_ratio(0) == float("inf")
-    assert cmap.layer_aggregate_ratio(0) == float("inf")
-    assert gr.demand_resource_ratios(cmap)[0].max_edge_ratio == float("inf")
+    row = gr.demand_resource_ratios(cmap)[0]
+    assert row.max_edge_ratio == row.aggregate_ratio == float("inf")
     lines = gr.congestion_csv(cmap, 1).splitlines()
     assert "1,0,0,h,1,0,inf" in lines
     assert "1,1,0,h,0,0,0" in lines  # no demand on no capacity reads 0
     graph.demand[0] = 0
-    cmap = gr.build_congestion_map(graph)
-    assert cmap.layer_max_ratio(0) == cmap.layer_aggregate_ratio(0) == 0.0
+    row = gr.demand_resource_ratios(gr.build_congestion_map(graph))[0]
+    assert row.max_edge_ratio == row.aggregate_ratio == 0.0
 
 
 def test_congestion_csv_shape():

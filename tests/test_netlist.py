@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,7 @@ CONSISTENT = "master M pins A B OUT\ncell c1 M\ncell c2 M\nnet n1 c1.OUT c2.A\n"
 
 @pytest.mark.parametrize("line, message, column", [
     ("cell a,b M", "cell id 'a,b' holds a comma", 6),
+    ("cell a.b M", "cell id 'a.b' holds a dot", 6),
     ("cell c1 M", "duplicate cell id 'c1'", 6),
     ("cell c3 X", "cell 'c3' references unknown master 'X'", 6),
     ("net n,2 c1.OUT c2.B", "net id 'n,2' holds a comma", 5),
@@ -123,7 +125,7 @@ CONSISTENT = "master M pins A B OUT\ncell c1 M\ncell c2 M\nnet n1 c1.OUT c2.A\n"
     ("net n2 c1.OUT c9.B", "net 'n2' references unknown cell 'c9'", 15),
     ("net n2 c1.OUT c2.Q", "net 'n2': master 'M' has no pin 'Q'", 15),
     ("net n2 c1.OUT c2.B c1.OUT", "net 'n2' repeats terminal c1.OUT", 20),
-], ids=["cell-comma", "cell-repeated", "master-unknown", "net-comma", "net-repeated",
+], ids=["cell-comma", "cell-dot", "cell-repeated", "master-unknown", "net-comma", "net-repeated",
         "cell-unknown", "pin-unknown", "terminal-repeated"])
 def test_each_rule_is_parsed_at_its_place_and_validated_alike(line, message, column):
     # one netlist with one error, as text and built in code
@@ -200,6 +202,17 @@ def test_generator_deterministic():
     a = nl.serialize_netlist(nl.generate_synthetic(p))
     b = nl.serialize_netlist(nl.generate_synthetic(p))
     assert a == b
+
+
+@pytest.mark.parametrize("cells, seed, digest", [
+    (600, 1, "c881a3f2db648963cda2ffdc40bce81d6efe6113ed048b80049d072221acab58"),
+    (1000, 102, "7b6396e3f1e715f73f5c35bdae790d41f6120997a70753c4cc7af785ed6bca47"),
+    (1600, 100, "963dd951e4fc6f5e4527c7ee70d3ae8105c83632f67c5c18af7084d81ad64346"),
+])
+def test_generator_output_is_pinned(cells, seed, digest):
+    # the benchmark's three designs, which it regenerates on every run
+    d = nl.generate_synthetic(nl.SynthesisParams(num_cells=cells, seed=seed))
+    assert hashlib.sha256(nl.serialize_netlist(d).encode()).hexdigest() == digest
 
 
 def test_generator_seed_changes_output():

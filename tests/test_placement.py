@@ -6,6 +6,7 @@ import pytest
 
 from conftest import tiny_netlist
 from routekit import fabric as fab
+from routekit import flow
 from routekit import netlist as nl
 from routekit import placement as pl
 
@@ -267,23 +268,19 @@ def test_small_instance_brute_force_optimality():
     assert hits >= 19
 
 
+def placed_job(fabric: str) -> flow.PlacedJob:
+    return flow.place_job(flow.JobSpec(fabric=fabric, cells=64, moves_per_temp=100, max_temps=5))
+
+
 def test_pin_density_inputs():
-    d = tiny_netlist(9, [(0, 1, 2), (3, 4), (5, 6, 7, 8)])
-    die = pl.size_die(d, FAB2D, 0.6)
-    placed = pl.random_placement(d, FAB2D, die, seed=0)
-    inp = pl.pin_density_of(placed, d, FAB2D)
-    assert inp.total_pins == 9
-    assert inp.die_area_um2 == pytest.approx(die.area_um2)
-    assert inp.pin_access_layers == 1
+    placed = placed_job("2d")
+    assert placed.meta["total_pins"] == placed.design.total_terminals
+    assert placed.meta["die_area_um2"] == placed.die.area_um2
+    assert placed.meta["pin_access_layers"] == 1
 
 
 def test_pin_density_reports_s3dc_layers():
-    fabric = fab.builtin_fabric("s3dc")
-    d = nl.generate_synthetic(nl.SynthesisParams(num_cells=64, seed=0))
-    d = fab.bind_masters(d, fabric)
-    die = pl.size_die(d, fabric, 0.6)
-    placed = pl.random_placement(d, fabric, die, seed=0)
-    assert pl.pin_density_of(placed, d, fabric).pin_access_layers == 5
+    assert placed_job("s3dc").meta["pin_access_layers"] == 5
 
 
 def test_anneal_config_rejects_zero_restarts():
