@@ -138,21 +138,23 @@ def read_netlist(path: Path) -> nl.Netlist:
 
 def load_design(spec: JobSpec) -> nl.Netlist:
     """The netlist file ``spec.netlist`` or a netlist of ``spec.cells``
-    generated cells; exactly one of the two must be set."""
+    generated cells, checked consistent; exactly one of the two must be set."""
     if bool(spec.netlist) == (spec.cells is not None):
         raise JobError("provide exactly one netlist source: --netlist or --cells")
     if spec.netlist:
         return read_netlist(Path(spec.netlist))
-    return nl.generate_synthetic(nl.SynthesisParams(
+    design = nl.generate_synthetic(nl.SynthesisParams(
         num_cells=spec.cells, rent_exponent=spec.rent, avg_pins_per_cell=spec.pins, seed=spec.seed,
     ))
+    # parse_netlist has checked a file by the same rules, at their line and column.
+    for error in nl.validate(design):
+        raise JobError(f"netlist invalid: {error}")
+    return design
 
 
 def place_job(spec: JobSpec) -> PlacedJob:
     fabric = load_fabric(spec.fabric)
     design = load_design(spec)
-    for error in nl.validate(design):
-        raise JobError(f"netlist invalid: {error}")
     label = spec.label or f"{fabric.kind.value}:{design.name}"
     if "," in label or label.splitlines() != [label]:
         raise JobError(f"label {label!r} holds a comma or a line break; report.csv cannot hold it")

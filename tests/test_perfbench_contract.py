@@ -15,7 +15,6 @@ from pathlib import Path
 
 import routekit.cli
 from routekit import globalroute as gr
-from routekit import netlist as nl
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SELFTEST = PERFBENCH / "selftest.py"
@@ -75,11 +74,11 @@ def test_tracer_sees_every_wrapped_function(tmp_path):
     finally:
         sys.path.remove(str(PERFBENCH))
     net = tmp_path / "n.net"
-    net.write_text(nl.serialize_netlist(nl.generate_synthetic(
-        nl.SynthesisParams(num_cells=64, seed=5))))
     tracer = tracing.Tracer(routekit)
     tracer.install()
     try:
+        # gen validates the design it generates; run reads one that parsing checked.
+        assert tracer.call_main(["gen", "--cells", "64", "--seed", "5", "-o", str(net)]) == 0
         assert tracer.call_main(["run", "--netlist", str(net), "--fabric", "tmi", "--seed", "1",
                                  "--moves-per-temp", "300", "-o", str(tmp_path / "run")]) in (0, 3)
         assert tracer.call_main(["analyze", str(tmp_path / "run"),

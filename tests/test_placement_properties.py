@@ -12,7 +12,8 @@ happens to agree.  The hypothesis profile is bounded and derandomised, so
 every run checks the same examples.  Those short anneals stay hot, so a
 cold 300-cell anneal, whose late moves the anneal's lower bound on a move's
 cost mostly rejects unscored, is compared with the reference as well, and
-the bound's tables are checked never to exceed a move's exact cost.
+the bound's tables are checked never to exceed a move's exact cost.  The
+anneal's first step, on two bench designs, must not end above its start.
 
 The analytic start is checked against oracles: its conjugate-gradient solve
 against a dense solve of an independently built clique Laplacian, its
@@ -217,6 +218,26 @@ def test_cold_anneal_matches_frozen_reference(kind, caplog):
     cold = [a for a in steps if a[2] < 0.05 * a[3]]
     assert len(cold) >= 10
     assert sum(a[6] for a in cold) > 0.5 * sum(a[3] for a in cold)
+
+
+@pytest.mark.parametrize("cells, design_seed, seed, moves", [
+    (600, 1, 1, 2000),  # the bench's fabric-sweep design
+    (1000, 102, 2, 4000),  # the bench's congested-reroute design
+])
+def test_first_step_does_not_melt_the_analytic_start(cells, design_seed, seed, moves, caplog):
+    # The start temperature is about the analytic start's stationary one, so
+    # the first step ends at no higher a cost than the start's.
+    fabric = fab.builtin_fabric("tmi")
+    design = fab.bind_masters(
+        nl.generate_synthetic(nl.SynthesisParams(num_cells=cells, seed=design_seed)), fabric)
+    die = pl.size_die(design, fabric, 0.6)
+    cfg = pl.AnnealConfig(moves_per_temp=moves, max_temps=1)
+    with caplog.at_level(logging.DEBUG, logger="routekit.placement"):
+        pl.place(design, fabric, die, seed=seed, config=cfg)
+    records = [r for r in caplog.records if r.name == "routekit.placement"]
+    start = next(r for r in records if r.getMessage().startswith("anneal start"))
+    (step,) = [r for r in records if r.getMessage().startswith("anneal step")]
+    assert step.args[4] <= start.args[1]
 
 
 # --- the analytic start
