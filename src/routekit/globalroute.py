@@ -601,7 +601,6 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
 class _NetTask:
     net_id: str
     entries: list[list[int]]  # per terminal, candidate entry nodes
-    reps: list[tuple[int, int]]  # representative gcell per terminal
     bbox: tuple[int, int, int, int]
     hp: int
     order: list[int] = field(default_factory=list)  # MST attach order, after terminal 0
@@ -679,7 +678,7 @@ def route_terminal_sets(
                 ys.append((node // x_dim) % y_dim)
         bbox = (min(xs), max(xs), min(ys), max(ys))
         task = _NetTask(
-            net_id=net_id, entries=entries, reps=reps, bbox=bbox,
+            net_id=net_id, entries=entries, bbox=bbox,
             hp=(bbox[1] - bbox[0]) + (bbox[3] - bbox[2]),
         )
         if len(entries) > 1:

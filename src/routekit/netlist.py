@@ -60,9 +60,17 @@ class Netlist:
     _cell_index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def cell(self, cell_id: str) -> CellInstance:
-        if len(self._cell_index) != len(self.cells):
-            self._cell_index.clear()
-            self._cell_index.update((c.id, i) for i, c in enumerate(self.cells))
+        """The cell named ``cell_id``; KeyError if there is none.  The id
+        index is rebuilt whenever it misses or names another cell, so edits
+        to ``cells`` in place are seen."""
+        try:
+            c = self.cells[self._cell_index[cell_id]]
+            if c.id == cell_id:
+                return c
+        except (KeyError, IndexError):
+            pass
+        self._cell_index.clear()
+        self._cell_index.update((c.id, i) for i, c in enumerate(self.cells))
         return self.cells[self._cell_index[cell_id]]
 
     def master_of(self, cell_id: str) -> CellMaster:

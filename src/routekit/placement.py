@@ -174,8 +174,8 @@ def hpwl(netlist: Netlist, placement: Placement) -> int:
 
 
 def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int = 0) -> Placement:
-    """The seeded random slot assignment that anchors the analytic start of
-    ``place``'s first restart; ``place`` never ends above its HPWL.
+    """The seeded random slot assignment that anchors ``place``'s analytic
+    start; ``place`` never ends above its HPWL.
     ``fabric`` is unread; it stays so that callers keep the signature of
     ``place``."""
     rng = random.Random(seed)
@@ -200,15 +200,12 @@ BOUND_EPS = 2.0 ** -40  # relative slack of the bound's rejection test, far abov
 class AnnealConfig:
     moves_per_temp: int | None = None  # default 100 * num_cells, at most MOVES_CAP
     max_temps: int = 150
-    restarts: int = 1
 
     def __post_init__(self):
         if self.moves_per_temp is not None and self.moves_per_temp < 1:
             raise ValueError(f"moves_per_temp must be >= 1, got {self.moves_per_temp}")
         if self.max_temps < 0:
             raise ValueError(f"max_temps must be >= 0, got {self.max_temps}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 def place(
@@ -218,14 +215,13 @@ def place(
     seed: int = 0,
     config: AnnealConfig | None = None,
 ) -> Placement:
-    """Place cells into die slots minimizing total HPWL: per restart, an
-    analytic start from a seeded random anchor, then a cool anneal.
+    """Place cells into die slots minimizing total HPWL: an analytic start
+    from a seeded random anchor, then a cool anneal on the same random stream.
 
-    Deterministic for a fixed seed.  The first restart's anchor is
-    ``random_placement(seed)``, and each stage keeps its best-seen state, so
-    the result never has higher HPWL than that assignment.  ``fabric`` is
-    unread: the bound masters carry its geometry, and the argument stays
-    because callers pass it positionally.
+    Deterministic for a fixed seed.  The anchor is ``random_placement(seed)``,
+    and each stage keeps its best-seen state, so the result never has higher
+    HPWL than that assignment.  ``fabric`` is unread: the bound masters carry
+    its geometry, and the argument stays because callers pass it positionally.
     """
     cfg = config or AnnealConfig()
     nslots, slot_x, slot_y = _slots(netlist, die)
@@ -241,24 +237,10 @@ def place(
         moves_per_temp = min(100 * n, MOVES_CAP)
 
     rng = random.Random(seed)
-    best_slots: list[int] | None = None
-    best_cost = math.inf
-    for _ in range(cfg.restarts):
-        anchor = rng.sample(range(nslots), n)
-        slots = _analytic_start(anchor, model, terminals, slot_x, slot_y, cols)
-        cost = _anneal(
-            slots, nslots, slot_x, slot_y, net_terms, tables, rng,
-            moves_per_temp, cfg.max_temps,
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_slots = slots[:]
-
-    assert best_slots is not None
-    assignments = {
-        c.id: (slot_x[best_slots[i]], slot_y[best_slots[i]])
-        for i, c in enumerate(netlist.cells)
-    }
+    anchor = rng.sample(range(nslots), n)
+    slots = _analytic_start(anchor, model, terminals, slot_x, slot_y, cols)
+    _anneal(slots, nslots, slot_x, slot_y, net_terms, tables, rng, moves_per_temp, cfg.max_temps)
+    assignments = {c.id: (slot_x[s], slot_y[s]) for c, s in zip(netlist.cells, slots)}
     return Placement(assignments=assignments, die=die)
 
 
@@ -440,8 +422,7 @@ def _move_tables(net_terms, n):
 
 def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
             moves_per_temp, max_temps):
-    """One annealing run; leaves ``cell_slot`` at the best-seen assignment
-    and returns its cost."""
+    """One annealing run; leaves ``cell_slot`` at the best-seen assignment."""
     two, multi, bound, cell_nets = tables
     n = len(cell_slot)
     slot_cell = [-1] * nslots
@@ -633,7 +614,6 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
 
     if best is not None:
         cell_slot[:] = best
-    return best_cost
 
 
 def illegal_cell(netlist: Netlist, placement: Placement) -> tuple[str, str] | None:

@@ -8,9 +8,9 @@ returns: the same moves, the same random draws, the same integer deltas and
 so the same assignments.  The helpers (``_slots``, ``_terminal_offsets``,
 ``AnnealConfig``, ``Placement``) come from the live module.  The schedule
 values it once read from ``AnnealConfig`` (at most 40000 moves per step by
-default, cooling 0.95, stop below a 0.01 acceptance rate) are written in as
-literals, so that the copy does not follow the live constants.  Do not edit
-or optimise this file.
+default, cooling 0.95, stop below a 0.01 acceptance rate, one restart) are
+written in as literals, so that the copy does not follow the live constants.
+Do not edit or optimise this file.
 """
 
 import math
@@ -50,7 +50,7 @@ def place(
     rng = random.Random(seed)
     best_slots: list[int] | None = None
     best_cost = math.inf
-    for _ in range(max(1, cfg.restarts)):
+    for _ in range(1):
         slots = rng.sample(range(nslots), n)
         cost = _anneal(
             slots, nslots, slot_x, slot_y, net_terms, cell_nets, rng,

@@ -200,7 +200,7 @@ def route_terminal_sets(
                 ys.append((node // x_dim) % y_dim)
         bbox = (min(xs), max(xs), min(ys), max(ys))
         task = gr._NetTask(
-            net_id=net_id, entries=entries, reps=reps, bbox=bbox,
+            net_id=net_id, entries=entries, bbox=bbox,
             hp=(bbox[1] - bbox[0]) + (bbox[3] - bbox[2]),
         )
         if len(entries) > 1:

@@ -163,8 +163,7 @@ def test_criterion_6_placement_quality():
                 for perm in itertools.permutations(range(nslots), len(design.cells))
             )
             for seed in range(34):
-                placed = pl.place(design, fabric, die, seed=seed,
-                                  config=pl.AnnealConfig(restarts=3))
+                placed = pl.place(design, fabric, die, seed=seed)
                 hits += pl.hpwl(design, placed) == best
                 total += 1
         assert total >= 100

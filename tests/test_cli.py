@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 import routekit
-from routekit import flow, netlist as nl, placement as pl
+from routekit import flow, globalroute as gr, netlist as nl, placement as pl
 from routekit.cli import main
 
 FAST = ["--moves-per-temp", "500", "--max-temps", "10"]
@@ -593,6 +593,13 @@ def test_every_run_option_changes_what_a_later_stage_reads(tmp_path, guard_base_
     assert run_cli("run", *_flags({**GUARD_BASE, name: GUARD_VALUES[name]}), "-o", out) in (0, 3)
     echo = META_ECHO.get(name)
     assert _guard_artifacts(out, echo) != _guard_artifacts(guard_base_dir, echo)
+
+
+@pytest.mark.parametrize("params", [pl.AnnealConfig, gr.RouteParams])
+def test_every_stage_parameter_is_a_run_option(params):
+    # A parameter that no run option sets is a knob only tests can turn.
+    options = {f.name for f in dataclasses.fields(flow.JobSpec)}
+    assert {f.name for f in dataclasses.fields(params)} <= options
 
 
 def test_cli_starts_without_networkx():

@@ -183,6 +183,16 @@ def test_validate_flags_unknown_references():
     assert "ghost" in msgs and "ghostmaster" in msgs
 
 
+def test_cell_lookup_sees_cells_replaced_in_place():
+    d = nl.parse_netlist("master M pins i1 o\ncell a M\ncell b M\nnet n a.o b.i1\n")
+    assert d.cell("a") is d.cells[0]
+    d.cells[0] = nl.CellInstance("z", "M")
+    assert d.cell("z") is d.cells[0]
+    assert d.cell("b") is d.cells[1]
+    with pytest.raises(KeyError):
+        d.cell("a")
+
+
 # --- synthetic generator
 
 

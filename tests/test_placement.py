@@ -161,7 +161,7 @@ def test_place_rejects_undersized_die():
 def test_place_two_connected_cells_end_adjacent():
     d = tiny_netlist(2, [(0, 1)])
     die = pl.Die(10, 10, 90.0, 1.0)
-    placed = pl.place(d, FAB2D, die, seed=0, config=pl.AnnealConfig(restarts=2))
+    placed = pl.place(d, FAB2D, die, seed=0)
     assert pl.hpwl(d, placed) == 1  # unit cells: best separation is one site
 
 
@@ -263,7 +263,7 @@ def test_small_instance_brute_force_optimality():
     )
     hits = 0
     for seed in range(20):
-        placed = pl.place(d, FAB2D, die, seed=seed, config=pl.AnnealConfig(restarts=3))
+        placed = pl.place(d, FAB2D, die, seed=seed)
         hits += pl.hpwl(d, placed) == best
     assert hits >= 19
 
@@ -281,9 +281,3 @@ def test_pin_density_inputs():
 
 def test_pin_density_reports_s3dc_layers():
     assert placed_job("s3dc").meta["pin_access_layers"] == 5
-
-
-def test_anneal_config_rejects_zero_restarts():
-    # the other AnnealConfig bounds are tested through the CLI
-    with pytest.raises(ValueError, match="^restarts must be >= 1, got 0$"):
-        pl.AnnealConfig(restarts=0)

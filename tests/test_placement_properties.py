@@ -5,7 +5,7 @@ moves as the frozen reference in ``placement_reference.py``: the same
 random draws, in the same order, and so the same assignments.  ``place`` is
 run with its analytic start returning the random anchor unchanged and with
 the reference's start-temperature rule, the one part of ``_anneal`` meant to
-differ; restarts, draws, kernel and stop rule are then the reference's.
+differ; the anchor, draws, kernel and stop rule are then the reference's.
 Each run records every call the placer makes on its random number
 generator, so a draw that differs shows even where the final placement
 happens to agree.  The hypothesis profile is bounded and derandomised, so
@@ -122,7 +122,6 @@ def instances(draw):
     cfg = pl.AnnealConfig(
         moves_per_temp=draw(st.sampled_from([1, 2, 7, 60, 400])),
         max_temps=draw(st.integers(0, 25)),
-        restarts=draw(st.integers(1, 3)),
     )
     return design, fabric, die, draw(st.integers(0, 2**16)), cfg
 
@@ -140,7 +139,7 @@ def test_cell_and_slot_draws_are_randrange(m):
     # about half as many, the placer must consume the same bits in the same
     # calls, so its draws are random.Random(seed).randrange(m) too.
     die = pl.Die(m, 1, 90.0, 1.0)
-    cfg = pl.AnnealConfig(moves_per_temp=300, max_temps=3, restarts=2)
+    cfg = pl.AnnealConfig(moves_per_temp=300, max_temps=3)
     for n in sorted({m, (m + 1) // 2}):
         ring = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n, (i + 5) % n)
                                                        for i in range(0, n, 3)]
