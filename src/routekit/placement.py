@@ -5,7 +5,8 @@ at or below the utilization target (default 0.6; the remaining area is
 interspersed whitespace).  Cells occupy a uniform slot grid, so any slot
 assignment is overlap-free by construction.
 
-Placement is an analytic start followed by a short, cool simulated anneal.
+Placement is an analytic start followed by a short, cool, range-limited
+simulated anneal.
 
 The analytic start (after GORDIAN and SimPL) models each net as a clique
 over its distinct cells, edge weight 1/(k - 1), and solves the anchored
@@ -17,31 +18,46 @@ round with a larger weight ``a``.  The start is the lowest-HPWL legal state
 seen, the random anchor included.
 
 The anneal makes swap/relocate moves with geometric cooling.  A move takes a
-random cell to a random slot and swaps it with the slot's occupant, if any.
-It is evaluated in place: the one or two cells are put at their new
+random cell to a slot near its own and swaps it with the slot's occupant, if
+any.  The target is drawn from a window of radius w slots around the cell's
+slot: a column offset and then a row offset, each uniform in [-w, w], the
+target clamped to the slot grid.  The window follows VPR's range limiter
+(Betz & Rose, FPL 1997).  Its radius starts at RANGE_START, 3 slots, since
+the start is already analytic; after each step it is scaled by
+``1 - RANGE_TARGET + accepted share``, with RANGE_TARGET 0.44, and kept
+between 1 and the grid's longer side; w is the radius rounded.  A window
+that reaches across the die from every slot draws any slot.  The anneal
+stops once a step lowers the best-seen cost by less than STOP_GAIN, 1%, of
+its value, beside the max_temps cap and the 1%-acceptance stop.  Die-wide
+moves from an analytic start were over 80% rejected by the bound below and
+1-3% accepted, and their anneal ran 18 to 40 steps on the bench designs;
+windowed moves are accepted 8-27% of the time, and the gain stop ends the
+same runs after 7 to 10 steps at lower HPWL.
+
+A move is evaluated in place: the one or two cells are put at their new
 positions and a lower bound on the move's cost is summed first, over the
 nets they touch, from each net's distance between two of its terminals (a
 two-terminal net's exact HPWL).  A move whose bound is positive draws its
 acceptance number at once and, when the bound alone rules acceptance out,
-is rejected unscored; about 80% of the moves of a cool anneal end there.
-Any other move is scored in full: each net it touches is rescored (a
-two-terminal net in closed form from a per-cell table, a larger one by a
-min/max scan of its terminals) into a scratch array and accepted by the
-same test on the same draw, so the random stream and the result are those
-of scoring every move.  A rejected move puts the cells back.
-Nets whose terminals all sit on one cell never change and are not rescored.
-A zero-cost move is accepted with probability 0.5 so plateaus are still
-explored deterministically from the seeded RNG.  The start temperature is
-the one at which the sampled moves from the start state would be accepted
-at the rate ``START_ACCEPTANCE``, 2%.  That is about the start state's own
-equilibrium (White, ICCD 1984): the temperature at which 2000 sampled moves'
-expected accepted cost change is 0 gave 1.2-2.9% acceptance, median 2.1%,
-on nine designs of 600 to 4096 cells on the three fabrics.  So the anneal
-refines the analytic start rather than melting it: on those designs its
-first step ended 1-31% above the start's cost at 5%, and at 2% it ends at
-most 5% above it and below it on five of the nine.  The annealer logs its
-start temperature, each temperature step and why it stopped at DEBUG level
-on the ``routekit.placement`` logger.
+is rejected unscored.  Any other move is scored in full: each net it touches
+is rescored (a two-terminal net in closed form from a per-cell table, a
+larger one by a min/max scan of its terminals) into a scratch array and
+accepted by the same test on the same draw, so the random stream and the
+result are those of scoring every move.  A rejected move puts the cells
+back.  Nets whose terminals all sit on one cell never change and are not
+rescored.  A zero-cost move is accepted with probability 0.5 so plateaus are
+still explored deterministically from the seeded RNG.
+
+The start temperature is the one at which 200 moves sampled from the start
+state, in the first window, would be accepted at the rate
+``START_ACCEPTANCE``, 2%.  For die-wide moves that was about the start
+state's own equilibrium (White, ICCD 1984) on nine designs of 600 to 4096
+cells.  Windowed moves find 11-27% of their samples improving on the start,
+so 2% starts the anneal well below that equilibrium: it refines the analytic
+start rather than melting it, and its first step ends 4-15% below the
+start's cost on those designs.  The annealer logs its start temperature,
+each temperature step with its window radius and why it stopped at DEBUG
+level on the ``routekit.placement`` logger.
 """
 
 from __future__ import annotations
@@ -194,6 +210,9 @@ ANCHOR_WEIGHT = 0.01  # anchor weight of the first solve
 ANCHOR_GROWTH = 1.6  # anchor weight factor per round
 CG_TOL = 1e-10  # conjugate gradients stop at this residual norm over the right-hand side's
 BOUND_EPS = 2.0 ** -40  # relative slack of the bound's rejection test, far above exp's rounding
+RANGE_START = 3  # the move window's first radius, in slots
+RANGE_TARGET = 0.44  # the accepted share at which the window keeps its radius
+STOP_GAIN = 0.01  # stop once a step lowers the best-seen cost by less than this share
 
 
 @dataclass
@@ -239,7 +258,7 @@ def place(
     rng = random.Random(seed)
     anchor = rng.sample(range(nslots), n)
     slots = _analytic_start(anchor, model, terminals, slot_x, slot_y, cols)
-    _anneal(slots, nslots, slot_x, slot_y, net_terms, tables, rng, moves_per_temp, cfg.max_temps)
+    _anneal(slots, cols, slot_x, slot_y, net_terms, tables, rng, moves_per_temp, cfg.max_temps)
     assignments = {c.id: (slot_x[s], slot_y[s]) for c, s in zip(netlist.cells, slots)}
     return Placement(assignments=assignments, die=die)
 
@@ -420,11 +439,48 @@ def _move_tables(net_terms, n):
     return two, multi, bound, [frozenset(e[0] for e in bound[c]) for c in range(n)]
 
 
-def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
+def _target_sampler(getrandbits, cols, rows, w):
+    """The draw of a move's target slot from its cell's slot ``s1`` on a
+    ``cols`` x ``rows`` slot grid, for a window of radius ``w``: a column
+    offset and then a row offset, each uniform in [-w, w] as randrange(2w + 1)
+    draws it, the target clamped to the grid.  A window that covers the die
+    from every slot draws any slot, as randrange(cols * rows) does."""
+    nslots = cols * rows
+    if w >= max(cols, rows) - 1:
+        slot_bits = nslots.bit_length()
+
+        def draw(s1):
+            s2 = getrandbits(slot_bits)
+            while s2 >= nslots:
+                s2 = getrandbits(slot_bits)
+            return s2
+        return draw
+
+    span = 2 * w
+    bits = (span + 1).bit_length()
+    # The clamped column, and row start, at each offset position col + dx.
+    col_at = [min(max(k - w, 0), cols - 1) for k in range(cols + span)]
+    row_at = [min(max(k - w, 0), rows - 1) * cols for k in range(rows + span)]
+
+    def draw(s1):
+        dx = getrandbits(bits)
+        while dx > span:
+            dx = getrandbits(bits)
+        dy = getrandbits(bits)
+        while dy > span:
+            dy = getrandbits(bits)
+        return row_at[s1 // cols + dy] + col_at[s1 % cols + dx]
+    return draw
+
+
+def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
             moves_per_temp, max_temps):
-    """One annealing run; leaves ``cell_slot`` at the best-seen assignment."""
+    """One annealing run on a slot grid ``cols`` wide; leaves ``cell_slot``
+    at the best-seen assignment."""
     two, multi, bound, cell_nets = tables
     n = len(cell_slot)
+    nslots = len(slot_x)
+    rows = nslots // cols
     slot_cell = [-1] * nslots
     for c, s in enumerate(cell_slot):
         slot_cell[s] = c
@@ -447,10 +503,14 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
     rand = rng.random
     getrandbits = rng.getrandbits
     exp = math.exp
-    # Cells and slots are drawn as randrange() draws them: bit_length() random
-    # bits, drawn again until the value is in range.
+    # Cells are drawn as randrange() draws them: bit_length() random bits,
+    # drawn again until the value is in range; target slots likewise, from
+    # the window around the cell's slot.
     cell_bits = n.bit_length()
-    slot_bits = nslots.bit_length()
+    side = max(cols, rows)
+    radius = min(RANGE_START, side)
+    w = int(radius + 0.5)
+    target = _target_sampler(getrandbits, cols, rows, w)
 
     def score(cell, x, y, skip):
         # Rescore the nets of ``cell``, now at (x, y), except those in
@@ -497,10 +557,8 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
         c = getrandbits(cell_bits)
         while c >= n:
             c = getrandbits(cell_bits)
-        s2 = getrandbits(slot_bits)
-        while s2 >= nslots:
-            s2 = getrandbits(slot_bits)
         s1 = cell_slot[c]
+        s2 = target(s1)
         if s1 == s2:
             continue
         c2 = slot_cell[s2]
@@ -523,16 +581,15 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
     min_accepted = max(1, int(MIN_ACCEPT_RATE * moves_per_temp))
     slack = 1 + BOUND_EPS
     for step in range(max_temps):
+        best_before = best_cost
         accepted = 0
         bound_rejected = 0
         for _ in range(moves_per_temp):
             c = getrandbits(cell_bits)
             while c >= n:
                 c = getrandbits(cell_bits)
-            s2 = getrandbits(slot_bits)
-            while s2 >= nslots:
-                s2 = getrandbits(slot_bits)
             s1 = cell_slot[c]
+            s2 = target(s1)
             if s1 == s2:
                 continue
             c2 = slot_cell[s2]
@@ -602,13 +659,20 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, tables, rng,
                     px[c2] = x2
                     py[c2] = y2
         logger.debug("anneal step %d: T=%.6g, accepted %d of %d, cost %d, best %d, "
-                     "%d rejected by the bound",
-                     step, t, accepted, moves_per_temp, cost, best_cost, bound_rejected)
+                     "%d rejected by the bound, window %d",
+                     step, t, accepted, moves_per_temp, cost, best_cost, bound_rejected, w)
         t *= COOLING
         if accepted < min_accepted:
             logger.debug("anneal stopped after step %d: %d accepted moves, below %d",
                          step, accepted, min_accepted)
             break
+        if best_before - best_cost < STOP_GAIN * best_before:
+            logger.debug("anneal stopped after step %d: best cost fell by less than %g%%",
+                         step, 100 * STOP_GAIN)
+            break
+        radius = min(max(radius * (1 - RANGE_TARGET + accepted / moves_per_temp), 1), side)
+        w = int(radius + 0.5)
+        target = _target_sampler(getrandbits, cols, rows, w)
     else:
         logger.debug("anneal stopped: max_temps (%d) reached", max_temps)
 

@@ -560,7 +560,7 @@ def test_out_of_range_run_option_fails_before_any_stage(tmp_path, capsys, flag, 
 GUARD_BASE = {"fabric": "tmi", "cells": 200, "moves_per_temp": 100, "max_temps": 20,
               "gcell": 6, "max_iters": 5, "label": "x"}  # a congested job
 GUARD_VALUES = {"fabric": "s3dc", "rent": 0.6, "pins": 4.0, "seed": 2, "utilization": 0.5,
-                "moves_per_temp": 200, "max_temps": 40, "gcell": 4, "max_iters": 1,
+                "moves_per_temp": 200, "max_temps": 2, "gcell": 4, "max_iters": 1,
                 "freq": 2.0, "activity": 0.1}
 GUARD_EXEMPT = {"netlist", "cells", "label"}  # the design source and the report's name
 META_ECHO = {"fabric": "fabric", "seed": "seed", "utilization": "utilization", "gcell": "gcell",

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+from unittest import mock
 
 import pytest
 
@@ -228,10 +229,12 @@ def anneal_log(caplog, d, die, cfg):
 
 
 def test_anneal_logs_start_steps_and_max_temps_stop(caplog):
-    # 40 cells, hot for 6 steps: each step accepts far more than 1% of its moves
+    # 40 cells, hot for 6 steps: each step accepts far more than 1% of its
+    # moves, and with no gain stop only max_temps ends the anneal
     d = fab.bind_masters(nl.generate_synthetic(nl.SynthesisParams(num_cells=40, seed=3)), FAB2D)
     cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=6)
-    final, records = anneal_log(caplog, d, pl.size_die(d, FAB2D, 0.6), cfg)
+    with mock.patch.object(pl, "STOP_GAIN", 0):
+        final, records = anneal_log(caplog, d, pl.size_die(d, FAB2D, 0.6), cfg)
     assert records[0].getMessage().startswith("anneal start: T=")
     steps = records[1:-1]
     assert [r.args[0] for r in steps] == list(range(6))

@@ -3,9 +3,12 @@
 ``routekit.placement._anneal``, run from a given start, must make the same
 moves as the frozen reference in ``placement_reference.py``: the same
 random draws, in the same order, and so the same assignments.  ``place`` is
-run with its analytic start returning the random anchor unchanged and with
-the reference's start-temperature rule, the one part of ``_anneal`` meant to
-differ; the anchor, draws, kernel and stop rule are then the reference's.
+run with its analytic start returning the random anchor unchanged, with the
+reference's start-temperature rule, with a move window that covers the die
+for the whole run and with no gain stop: the parts of ``_anneal`` meant to
+differ.  The anchor, draws, kernel and stop rules are then the reference's;
+a window that covers the die draws its target slot as the reference does,
+and the window's own draw is checked on random grids.
 Each run records every call the placer makes on its random number
 generator, so a draw that differs shows even where the final placement
 happens to agree.  The hypothesis profile is bounded and derandomised, so
@@ -13,7 +16,8 @@ every run checks the same examples.  Those short anneals stay hot, so a
 cold 300-cell anneal, whose late moves the anneal's lower bound on a move's
 cost mostly rejects unscored, is compared with the reference as well, and
 the bound's tables are checked never to exceed a move's exact cost.  The
-anneal's first step, on two bench designs, must not end above its start.
+anneal's first step, on two bench designs and one of 4096 cells, must not end
+above its start, and the anneal must stop once a step gains under 1%.
 
 The analytic start is checked against oracles: its conjugate-gradient solve
 against a dense solve of an independently built clique Laplacian, its
@@ -88,7 +92,10 @@ def reference_start_temperature(deltas):
 
 def assert_same_as_reference(design, fabric, die, seed, cfg):
     with mock.patch.object(pl, "_analytic_start", lambda anchor, *_: anchor), \
-            mock.patch.object(pl, "_start_temperature", reference_start_temperature):
+            mock.patch.object(pl, "_start_temperature", reference_start_temperature), \
+            mock.patch.object(pl, "RANGE_START", math.inf), \
+            mock.patch.object(pl, "RANGE_TARGET", 0), \
+            mock.patch.object(pl, "STOP_GAIN", 0):
         new, new_calls = recorded_place(pl, design, fabric, die, seed=seed, config=cfg)
     old, old_calls = recorded_place(ref, design, fabric, die, seed=seed, config=cfg)
     assert new_calls == old_calls
@@ -144,6 +151,77 @@ def test_cell_and_slot_draws_are_randrange(m):
         ring = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n, (i + 5) % n)
                                                        for i in range(0, n, 3)]
         assert_same_as_reference(tiny_netlist(n, ring), fab.builtin_fabric("2d"), die, m, cfg)
+
+
+# --- the move window
+
+
+@st.composite
+def windows(draw):
+    """A slot grid, a window radius from 1 to past the die and a slot."""
+    cols, rows = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    w = draw(st.integers(1, max(cols, rows) + 1))
+    return cols, rows, w, draw(st.integers(0, cols * rows - 1)), draw(st.integers(0, 2**16))
+
+
+@settings(BOUNDED, max_examples=300)
+@given(window=windows())
+def test_window_draw_is_a_clamped_uniform_offset(window):
+    cols, rows, w, s1, seed = window
+    nslots = cols * rows
+    rng = RecordingRandom(seed)
+    draw = pl._target_sampler(rng.getrandbits, cols, rows, w)
+    got = [draw(s1) for _ in range(50)]
+    plain = random.Random(seed)
+    if w >= max(cols, rows) - 1:
+        # A window that covers the die draws any slot with today's calls.
+        assert got == [plain.randrange(nslots) for _ in got]
+        assert {k for _, k, _ in rng.calls} == {nslots.bit_length()}
+        return
+    col, row = s1 % cols, s1 // cols
+    for s2 in got:
+        assert abs(s2 % cols - col) <= w and abs(s2 // cols - row) <= w
+    # dx and then dy as randrange(2w + 1) draws them, the target clamped
+    expected = []
+    for _ in got:
+        dx, dy = plain.randrange(2 * w + 1), plain.randrange(2 * w + 1)
+        expected.append(min(max(row + dy - w, 0), rows - 1) * cols
+                        + min(max(col + dx - w, 0), cols - 1))
+    assert got == expected
+    # Every clamped slot of the window is drawn for some pair of offsets.
+    offsets = iter([v for dx in range(2 * w + 1) for dy in range(2 * w + 1) for v in (dx, dy)])
+    every = pl._target_sampler(lambda _: next(offsets), cols, rows, w)
+    reached = {every(s1) for _ in range((2 * w + 1) ** 2)}
+    assert reached == {min(max(r, 0), rows - 1) * cols + min(max(c, 0), cols - 1)
+                       for r in range(row - w, row + w + 1) for c in range(col - w, col + w + 1)}
+
+
+def test_anneal_stops_when_a_step_gains_under_stop_gain(caplog):
+    # The 600-cell fabric-sweep design on s3dc: the anneal stops on the gain
+    # rule long before max_temps, the window radius follows the VPR rule (it
+    # passes 1.69, which rounds up) and the result is the best-seen state.
+    fabric = fab.builtin_fabric("s3dc")
+    design = fab.bind_masters(nl.generate_synthetic(nl.SynthesisParams(num_cells=600, seed=1)),
+                              fabric)
+    die = pl.size_die(design, fabric, 0.6)
+    cfg = pl.AnnealConfig(moves_per_temp=2000, max_temps=150)
+    with caplog.at_level(logging.DEBUG, logger="routekit.placement"):
+        placed = pl.place(design, fabric, die, seed=1, config=cfg)
+    records = [r for r in caplog.records if r.name == "routekit.placement"]
+    start, *steps, stop = records
+    assert stop.getMessage() == (f"anneal stopped after step {len(steps) - 1}: "
+                                 "best cost fell by less than 1%")
+    assert len(steps) < 150
+    bests = [start.args[1]] + [r.args[5] for r in steps]
+    assert all(a - b >= pl.STOP_GAIN * a for a, b in zip(bests[:-2], bests[1:-1]))
+    assert bests[-2] - bests[-1] < pl.STOP_GAIN * bests[-2]
+    assert pl.hpwl(design, placed) == bests[-1]
+    cols = die.width // pl._slot_shape(design)[0]
+    side = max(cols, pl._slots(design, die)[0] // cols)
+    radius = min(pl.RANGE_START, side)
+    for r in steps:
+        assert r.args[7] == int(radius + 0.5)
+        radius = min(max(radius * (1 - pl.RANGE_TARGET + r.args[2] / r.args[3]), 1), side)
 
 
 # --- the anneal's lower bound on a move's cost
@@ -222,10 +300,11 @@ def test_cold_anneal_matches_frozen_reference(kind, caplog):
 @pytest.mark.parametrize("cells, design_seed, seed, moves", [
     (600, 1, 1, 2000),  # the bench's fabric-sweep design
     (1000, 102, 2, 4000),  # the bench's congested-reroute design
+    (4096, 1, 1, None),  # run's defaults at 4096 cells
 ])
 def test_first_step_does_not_melt_the_analytic_start(cells, design_seed, seed, moves, caplog):
-    # The start temperature is about the analytic start's stationary one, so
-    # the first step ends at no higher a cost than the start's.
+    # The start temperature and the window refine the analytic start rather
+    # than melt it: the first step ends at no higher a cost than the start's.
     fabric = fab.builtin_fabric("tmi")
     design = fab.bind_masters(
         nl.generate_synthetic(nl.SynthesisParams(num_cells=cells, seed=design_seed)), fabric)
