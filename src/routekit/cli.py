@@ -126,11 +126,16 @@ def cmd_place(args: argparse.Namespace) -> int:
 
 
 def _read_placement(csv_path: Path, design: nl.Netlist, die: pl.Die) -> pl.Placement:
-    """The placement in ``csv_path``: every design cell on exactly one line,
-    and legal by ``pl.illegal_cell``.  Each error names its line."""
+    """The placement in ``csv_path``: the header ``cell,x,y``, then every
+    design cell on exactly one line, and legal by ``pl.illegal_cell``.  Each
+    error names its line."""
+    header, *rows = csv_path.read_text().splitlines() or [""]
+    if header != "cell,x,y":
+        raise flow.JobError(f"{csv_path}: line 1: expected the header 'cell,x,y', "
+                            f"got {header!r}")
     lines: dict[str, int | None] = {cell.id: None for cell in design.cells}
     assignments = {}
-    for lineno, line in enumerate(csv_path.read_text().splitlines()[1:], start=2):
+    for lineno, line in enumerate(rows, start=2):
         where = f"{csv_path}: line {lineno}:"
         try:
             cid, x, y = line.split(",")

@@ -29,22 +29,16 @@ between 1 and the grid's longer side; w is the radius rounded.  A window
 that reaches across the die from every slot draws any slot.  The anneal
 stops once a step lowers the best-seen cost by less than STOP_GAIN, 1%, of
 its value, beside the max_temps cap and the 1%-acceptance stop.  Die-wide
-moves from an analytic start were over 80% rejected by the bound below and
-1-3% accepted, and their anneal ran 18 to 40 steps on the bench designs;
-windowed moves are accepted 8-27% of the time, and the gain stop ends the
-same runs after 7 to 10 steps at lower HPWL.
+moves from an analytic start were only 1-3% accepted, and their anneal ran
+18 to 40 steps on the bench designs; windowed moves are accepted 8-27% of
+the time, and the gain stop ends the same runs after 7 to 10 steps at lower
+HPWL.
 
 A move is evaluated in place: the one or two cells are put at their new
-positions and a lower bound on the move's cost is summed first, over the
-nets they touch, from each net's distance between two of its terminals (a
-two-terminal net's exact HPWL).  A move whose bound is positive draws its
-acceptance number at once and, when the bound alone rules acceptance out,
-is rejected unscored.  Any other move is scored in full: each net it touches
-is rescored (a two-terminal net in closed form from a per-cell table, a
-larger one by a min/max scan of its terminals) into a scratch array and
-accepted by the same test on the same draw, so the random stream and the
-result are those of scoring every move.  A rejected move puts the cells
-back.  Nets whose terminals all sit on one cell never change and are not
+positions and each net they touch is rescored (a two-terminal net in closed
+form from a per-cell table, a larger one by a min/max scan of its
+terminals) into a scratch array.  A rejected move puts the cells back.
+Nets whose terminals all sit on one cell never change and are not
 rescored.  A zero-cost move is accepted with probability 0.5 so plateaus are
 still explored deterministically from the seeded RNG.
 
@@ -209,7 +203,6 @@ ANALYTIC_ROUNDS = 16  # anchored solves of the analytic start
 ANCHOR_WEIGHT = 0.01  # anchor weight of the first solve
 ANCHOR_GROWTH = 1.6  # anchor weight factor per round
 CG_TOL = 1e-10  # conjugate gradients stop at this residual norm over the right-hand side's
-BOUND_EPS = 2.0 ** -40  # relative slack of the bound's rejection test, far above exp's rounding
 RANGE_START = 3  # the move window's first radius, in slots
 RANGE_TARGET = 0.44  # the accepted share at which the window keeps its radius
 STOP_GAIN = 0.01  # stop once a step lowers the best-seen cost by less than this share
@@ -409,17 +402,13 @@ def _move_tables(net_terms, n):
 
     For each cell: its two-terminal nets as ``(net, other cell, ox, oy)``,
     worth ``|px[cell] - px[other] + ox| + |py[cell] - py[other] + oy|``; its
-    larger nets as ``(net, first cell, dx, dy, other terminals)``; the bound
-    entries, its two-terminal entries followed by one entry of the same
-    shape per larger net, pairing the cell's first terminal on it with the
-    first terminal of another cell, whose value is at most the net's HPWL;
-    the set of the cell's net ids.  A net whose terminals all sit on one
+    larger nets as ``(net, first cell, dx, dy, other terminals)``; the set
+    of the cell's net ids.  A net whose terminals all sit on one
     cell (an empty net among them) keeps its value under every move and is
     left out.
     """
     two: list[list[tuple]] = [[] for _ in range(n)]
     multi: list[list[tuple]] = [[] for _ in range(n)]
-    pairs: list[list[tuple]] = [[] for _ in range(n)]
     for j, terms in enumerate(net_terms):
         cells = {c for c, _, _ in terms}
         if len(cells) < 2:
@@ -432,11 +421,7 @@ def _move_tables(net_terms, n):
             entry = (j, *terms[0], tuple(terms[1:]))
             for c in cells:
                 multi[c].append(entry)
-                dx, dy = next((dx, dy) for cc, dx, dy in terms if cc == c)
-                o, odx, ody = next(t for t in terms if t[0] != c)
-                pairs[c].append((j, o, dx - odx, dy - ody))
-    bound = [two[c] + pairs[c] for c in range(n)]
-    return two, multi, bound, [frozenset(e[0] for e in bound[c]) for c in range(n)]
+    return two, multi, [frozenset(e[0] for e in two[c] + multi[c]) for c in range(n)]
 
 
 def _target_sampler(getrandbits, cols, rows, w):
@@ -477,7 +462,7 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
             moves_per_temp, max_temps):
     """One annealing run on a slot grid ``cols`` wide; leaves ``cell_slot``
     at the best-seen assignment."""
-    two, multi, bound, cell_nets = tables
+    two, multi, cell_nets = tables
     n = len(cell_slot)
     nslots = len(slot_x)
     rows = nslots // cols
@@ -579,11 +564,9 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
                  t, cost, n, nslots, moves_per_temp)
 
     min_accepted = max(1, int(MIN_ACCEPT_RATE * moves_per_temp))
-    slack = 1 + BOUND_EPS
     for step in range(max_temps):
         best_before = best_cost
         accepted = 0
-        bound_rejected = 0
         for _ in range(moves_per_temp):
             c = getrandbits(cell_bits)
             while c >= n:
@@ -599,40 +582,13 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
             if c2 >= 0:
                 px[c2] = x1
                 py[c2] = y1
-            # lb, a lower bound on the move's delta.  A net's HPWL is at least
-            # the Manhattan distance between any two of its terminals, so for
-            # each net the move touches, its bound entry at the new positions
-            # less hp[j] is at most the net's own delta (equal for a
-            # two-terminal net).  The nets are those probe scores, each once,
-            # so lb <= delta.
-            lb = 0
-            for j, o, ox, oy in bound[c]:
-                lb += abs(x2 - px[o] + ox) + abs(y2 - py[o] + oy) - hp[j]
-            if c2 >= 0:
-                skip = cell_nets[c]
-                for j, o, ox, oy in bound[c2]:
-                    if j not in skip:
-                        lb += abs(x1 - px[o] + ox) + abs(y1 - py[o] + oy) - hp[j]
-            # When lb > 0, delta > 0 too, and the move draws r = rand()
-            # whatever it scores, so r is drawn first.  A move rejected here,
-            # unscored, would fail r < exp(-delta / t) as well: -delta / t <=
-            # -lb / t survives rounding, exp is within a few ulps of e**x
-            # whichever way it rounds, and slack's BOUND_EPS covers that;
-            # where exp underflows, any r > 0 (at least 2**-53) exceeds both.
-            # So the draws and the result are those of scoring every move.
-            if lb > 0 and (r := rand()) > exp(-lb / t) * slack:
-                ok = False
-                bound_rejected += 1
+            delta = probe(c, c2, x1, y1, x2, y2)
+            if delta < 0:
+                ok = True
+            elif delta == 0:
+                ok = rand() < 0.5
             else:
-                delta = probe(c, c2, x1, y1, x2, y2)
-                if lb > 0:
-                    ok = r < exp(-delta / t)
-                elif delta < 0:
-                    ok = True
-                elif delta == 0:
-                    ok = rand() < 0.5
-                else:
-                    ok = rand() < exp(-delta / t)
+                ok = rand() < exp(-delta / t)
             if ok:
                 if best is None and delta >= 0:  # leaving the best-seen state
                     best = cell_slot[:]
@@ -658,9 +614,8 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
                 if c2 >= 0:
                     px[c2] = x2
                     py[c2] = y2
-        logger.debug("anneal step %d: T=%.6g, accepted %d of %d, cost %d, best %d, "
-                     "%d rejected by the bound, window %d",
-                     step, t, accepted, moves_per_temp, cost, best_cost, bound_rejected, w)
+        logger.debug("anneal step %d: T=%.6g, accepted %d of %d, cost %d, best %d, window %d",
+                     step, t, accepted, moves_per_temp, cost, best_cost, w)
         t *= COOLING
         if accepted < min_accepted:
             logger.debug("anneal stopped after step %d: %d accepted moves, below %d",

@@ -464,6 +464,23 @@ def test_route_names_bad_placement_line(tmp_path, capsys, bad_line):
     assert "placement.csv: line 6:" in err and repr(bad_line) in err
 
 
+@pytest.mark.parametrize("edit, got", [
+    (lambda ls: ls.__setitem__(0, "foo,bar,baz"), "'foo,bar,baz'"),
+    (lambda ls: ls.pop(0), "'c0,"),
+    (lambda ls: ls.clear(), "''"),
+], ids=["wrong", "missing", "empty-file"])
+def test_route_requires_placement_header(tmp_path, capsys, edit, got):
+    out = _placed_dir(tmp_path)
+    path = out / "placement.csv"
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert run_cli("route", out) == 2
+    err = capsys.readouterr().err
+    assert "placement.csv: line 1: expected the header 'cell,x,y', got " + got in err
+
+
 @pytest.mark.parametrize("flags, config", [
     (["--cells", 500], None),
     ([], {"cells": 500}),

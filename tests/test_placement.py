@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import random
@@ -143,6 +144,31 @@ def test_place_deterministic():
     a = pl.place(d, FAB2D, die, seed=3, config=cfg)
     b = pl.place(d, FAB2D, die, seed=3, config=cfg)
     assert a.assignments == b.assignments
+
+
+@pytest.mark.parametrize("cells, design_seed, kind, seed, moves, max_temps, hpwl, digest", [
+    (600, 1, "2d", 1, 2000, 150, 19316,
+     "d04e89fec62452d94737f027dff6da86639a3c8194fe616c2164e4e04c3d556d"),
+    (600, 1, "tmi", 1, 2000, 150, 14636,
+     "faeb252ed582bfc0b765bca3a7501092de8a83f0352771708992f112503d03bb"),
+    (600, 1, "s3dc", 1, 2000, 150, 14229,
+     "8dc70063664455ec4a2ee4e7688eda325b479512c7642395639dd299cbf02e7d"),
+    (1000, 102, "tmi", 2, 4000, 40, 29500,
+     "db7d3ef542dd9ea556b049a07728a67318cf0afac605bf3cd229265b4afe225b"),
+])
+def test_place_output_is_pinned(cells, design_seed, kind, seed, moves, max_temps, hpwl, digest):
+    # the benchmark's fabric-sweep and congested-reroute placements, with
+    # the analytic start, the move window and the gain stop all in play:
+    # the digest is that of the placement.csv that run writes for them
+    fabric = fab.builtin_fabric(kind)
+    d = fab.bind_masters(
+        nl.generate_synthetic(nl.SynthesisParams(num_cells=cells, seed=design_seed)), fabric)
+    die = pl.size_die(d, fabric, 0.6)
+    placed = pl.place(d, fabric, die, seed=seed,
+                      config=pl.AnnealConfig(moves_per_temp=moves, max_temps=max_temps))
+    text = "cell,x,y\n" + "".join(f"{c},{x},{y}\n" for c, (x, y) in placed.assignments.items())
+    assert pl.hpwl(d, placed) == hpwl
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_place_single_cell():

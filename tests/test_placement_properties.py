@@ -13,9 +13,8 @@ Each run records every call the placer makes on its random number
 generator, so a draw that differs shows even where the final placement
 happens to agree.  The hypothesis profile is bounded and derandomised, so
 every run checks the same examples.  Those short anneals stay hot, so a
-cold 300-cell anneal, whose late moves the anneal's lower bound on a move's
-cost mostly rejects unscored, is compared with the reference as well, and
-the bound's tables are checked never to exceed a move's exact cost.  The
+cold 300-cell anneal, whose late moves are mostly rejected by the
+``exp(-delta / T)`` test, is compared with the reference as well.  The
 anneal's first step, on two bench designs and one of 4096 cells, must not end
 above its start, and the anneal must stop once a step gains under 1%.
 
@@ -35,7 +34,7 @@ import numpy as np
 import placement_reference as ref
 import pytest
 from conftest import tiny_netlist, unit_master
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from routekit import fabric as fab
@@ -220,70 +219,15 @@ def test_anneal_stops_when_a_step_gains_under_stop_gain(caplog):
     side = max(cols, pl._slots(design, die)[0] // cols)
     radius = min(pl.RANGE_START, side)
     for r in steps:
-        assert r.args[7] == int(radius + 0.5)
+        assert r.args[6] == int(radius + 0.5)
         radius = min(max(radius * (1 - pl.RANGE_TARGET + r.args[2] / r.args[3]), 1), side)
-
-
-# --- the anneal's lower bound on a move's cost
-
-
-@st.composite
-def bound_moves(draw):
-    """Nets of 1 to 6 terminals with pin offsets over n cells (a cell may
-    hold several pins of one net), the cells on distinct slots of a grid
-    with up to 3 spare slots, and a move: a cell and another slot, a swap
-    when that slot is occupied."""
-    n = draw(st.integers(1, 8))
-    cols = draw(st.integers(1, 4))
-    nslots = cols * -(-(n + draw(st.integers(0, 3))) // cols)
-    assume(nslots > 1)
-    offset = st.integers(0, 3)
-    terminal = st.tuples(st.integers(0, n - 1), offset, offset)
-    net_terms = draw(st.lists(st.lists(terminal, min_size=1, max_size=6), max_size=3 * n))
-    cell_slot = draw(st.permutations(range(nslots)))[:n]
-    c = draw(st.integers(0, n - 1))
-    s2 = draw(st.sampled_from([s for s in range(nslots) if s != cell_slot[c]]))
-    return net_terms, cols, cell_slot, c, s2
-
-
-@settings(BOUNDED, max_examples=500)
-@given(case=bound_moves())
-def test_move_bound_is_at_most_the_move_delta(case):
-    net_terms, cols, cell_slot, c, s2 = case
-    _, _, bound, cell_nets = pl._move_tables(net_terms, len(cell_slot))
-    c2 = cell_slot.index(s2) if s2 in cell_slot else -1
-    moved = cell_slot[:]
-    moved[c] = s2
-    if c2 >= 0:
-        moved[c2] = cell_slot[c]
-
-    def net_hpwl(terms, slots):
-        xs = [slots[cc] % cols * 2 + dx for cc, dx, _ in terms]
-        ys = [slots[cc] // cols * 3 + dy for cc, _, dy in terms]
-        return max(xs) - min(xs) + max(ys) - min(ys)
-
-    hp = [net_hpwl(terms, cell_slot) for terms in net_terms]
-    delta = sum(net_hpwl(terms, moved) for terms in net_terms) - sum(hp)
-    # the bound as the anneal sums it, with the moved cells at their new
-    # slots: c's entries, then c2's on nets c is not on
-    px = [s % cols * 2 for s in moved]
-    py = [s // cols * 3 for s in moved]
-    lb = 0
-    for cell, skip in [(c, frozenset())] + ([(c2, cell_nets[c])] if c2 >= 0 else []):
-        for j, o, ox, oy in bound[cell]:
-            if j not in skip:
-                lb += abs(px[cell] - px[o] + ox) + abs(py[cell] - py[o] + oy) - hp[j]
-    assert lb <= delta
-    touched = cell_nets[c] | (cell_nets[c2] if c2 >= 0 else frozenset())
-    if all(len(net_terms[j]) == 2 for j in touched):
-        assert lb == delta
 
 
 @pytest.mark.parametrize("kind", ["2d", "tmi", "s3dc"])
 def test_cold_anneal_matches_frozen_reference(kind, caplog):
     # A sparse 300-cell die annealed until the stop rule: the late steps
-    # accept under 5% of their moves, and the lower bound rejects most of
-    # them unscored, so the draws of that path are compared too.
+    # accept under 5% of their moves, so the draws of the cold
+    # exp(-delta / T) test are compared too.
     fabric = fab.builtin_fabric(kind)
     design = fab.bind_masters(nl.generate_synthetic(nl.SynthesisParams(num_cells=300, seed=7)),
                               fabric)
@@ -294,7 +238,6 @@ def test_cold_anneal_matches_frozen_reference(kind, caplog):
     steps = [r.args for r in caplog.records if r.getMessage().startswith("anneal step")]
     cold = [a for a in steps if a[2] < 0.05 * a[3]]
     assert len(cold) >= 10
-    assert sum(a[6] for a in cold) > 0.5 * sum(a[3] for a in cold)
 
 
 @pytest.mark.parametrize("cells, design_seed, seed, moves", [
