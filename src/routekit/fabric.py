@@ -113,6 +113,9 @@ class FabricSpec:
                 raise FabricConfigError(f"layer {layer.index} breaks contiguity: expected layer {i}")
         if not self.access_layer_ids:
             raise FabricConfigError("a fabric needs at least one pin-access layer")
+        for i, lid in enumerate(self.access_layer_ids):
+            if lid in self.access_layer_ids[:i]:
+                raise FabricConfigError(f"access layer {lid} is listed twice")
         if self.kind in (FabricKind.PLANAR_2D, FabricKind.TMI) and self.pin_access_layers != 1:
             raise FabricConfigError(f"{self.kind.value} fabric requires pin_access_layers == 1")
         top = len(self.layers)
@@ -308,10 +311,10 @@ def load_fabric(text: str) -> FabricSpec:
     ``cellpower`` once per master).  A ``layer`` line overrides the given
     attributes of a builtin layer or appends the next index; gaps are
     rejected.  Values must be finite, with ``c``, ``vdd`` and ``site``
-    positive and ``cellpower`` values >= 0.  ``access_layers`` lists the
-    pin-access layers, so N is its length; without it the kind's builtin
-    access layers apply.  The cell footprint follows ``site``.  Every error
-    but a missing ``kind`` names its line.
+    positive and ``cellpower`` values >= 0.  ``access_layers`` lists
+    distinct pin-access layers, so N is its length; without it the kind's
+    builtin access layers apply.  The cell footprint follows ``site``.
+    Every error but a missing ``kind`` names its line.
     """
     first: dict[str, int] = {}  # directive ('layer <index>', 'cellpower <master>') -> line
     overrides: dict[int, tuple[int, RoutingLayer]] = {}  # index -> (line, layer)

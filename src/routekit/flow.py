@@ -47,6 +47,8 @@ def checked(name: str, value, hint):
 # The options whose range a later stage checks, each with that stage's check,
 # so that a value out of range fails before the first stage runs.
 RANGE_CHECKS = {
+    "rent": lambda v: nl.SynthesisParams(nl.MIN_GENERATED_CELLS, rent_exponent=v),
+    "pins": lambda v: nl.SynthesisParams(nl.MIN_GENERATED_CELLS, avg_pins_per_cell=v),
     "utilization": lambda v: pl.Die(1, 1, 1.0, v),
     "moves_per_temp": lambda v: pl.AnnealConfig(moves_per_temp=v),
     "max_temps": lambda v: pl.AnnealConfig(max_temps=v),

@@ -11,6 +11,7 @@ footprint), normalized against a baseline design.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .fabric import CellEnergyEntry
@@ -29,6 +30,9 @@ class PowerParams:
     switching_activity: float = 0.2
 
     def __post_init__(self):
+        for name in ("clock_freq_ghz", "supply_voltage"):
+            if not math.isfinite(getattr(self, name)):
+                raise MetricsError(f"{name} must be finite, got {getattr(self, name)}")
         if self.clock_freq_ghz <= 0:
             raise MetricsError(f"clock_freq_ghz must be > 0, got {self.clock_freq_ghz}")
         if self.supply_voltage <= 0:

@@ -21,6 +21,7 @@ distribution with mean 3, truncated at 16 terminals.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -232,6 +233,8 @@ class SynthesisParams:
             )
         if not 0.5 < self.rent_exponent < 1.0:
             raise ValueError("rent_exponent must lie in (0.5, 1.0)")
+        if not math.isfinite(self.avg_pins_per_cell):
+            raise ValueError(f"avg_pins_per_cell must be finite, got {self.avg_pins_per_cell}")
         if self.avg_pins_per_cell < 2:
             raise ValueError("avg_pins_per_cell must be >= 2")
 

@@ -42,16 +42,20 @@ Nets whose terminals all sit on one cell never change and are not
 rescored.  A zero-cost move is accepted with probability 0.5 so plateaus are
 still explored deterministically from the seeded RNG.
 
-The start temperature is the one at which 200 moves sampled from the start
-state, in the first window, would be accepted at the rate
-``START_ACCEPTANCE``, 2%.  For die-wide moves that was about the start
-state's own equilibrium (White, ICCD 1984) on nine designs of 600 to 4096
-cells.  Windowed moves find 11-27% of their samples improving on the start,
-so 2% starts the anneal well below that equilibrium: it refines the analytic
-start rather than melting it, and its first step ends 4-15% below the
-start's cost on those designs.  The annealer logs its start temperature,
-each temperature step with its window radius and why it stopped at DEBUG
-level on the ``routekit.placement`` logger.
+The start temperature is sampled by the first pass of the anneal's step
+loop, pass -1.  It makes ``min(200, 20 n)`` cell and target draws from the
+start state, in the first window, scores each move and puts it back; a
+draw that lands on the cell's own slot is skipped, so fewer costs than
+draws may be recorded.  The temperature is the one at which moves of those
+costs would be accepted at the rate ``START_ACCEPTANCE``, 2%.  For die-wide
+moves that was about the start state's own equilibrium (White, ICCD 1984)
+on nine designs of 600 to 4096 cells.  Windowed moves find 11-27% of their
+samples improving on the start, so 2% starts the anneal well below that
+equilibrium: it refines the analytic start rather than melting it, and its
+first step ends 4-15% below the start's cost on those designs.  The
+annealer logs its start temperature, each temperature step with its window
+radius and why it stopped at DEBUG level on the ``routekit.placement``
+logger.
 """
 
 from __future__ import annotations
@@ -165,22 +169,18 @@ def hpwl(netlist: Netlist, placement: Placement) -> int:
     """Total half-perimeter wirelength over all nets, in site units.
 
     A net's terminal sits at its cell origin plus the pin's first access
-    offset; the net contributes its bounding-box half perimeter.
+    offset; the net contributes its bounding-box half perimeter.  A cell
+    that no net names may be left unplaced.
     """
-    total = 0
+    where = placement.assignments
     for net in netlist.nets:
-        xs: list[int] = []
-        ys: list[int] = []
-        for cid, pin in net.terminals:
-            if cid not in placement.assignments:
+        for cid, _ in net.terminals:
+            if cid not in where:
                 raise PlacementError(f"net {net.id!r} references unplaced cell {cid!r}")
-            ox, oy = placement.assignments[cid]
-            _, dx, dy = netlist.master_of(cid).pin(pin).accesses[0]
-            xs.append(ox + dx)
-            ys.append(oy + dy)
-        if xs:
-            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return total
+    # Cell i sits at "slot" i, whose coordinates are its own.
+    x, y = np.array([where.get(c.id, (0, 0)) for c in netlist.cells],
+                    dtype=np.intp).reshape(-1, 2).T
+    return _slots_hpwl(np.arange(len(x)), _terminal_arrays(_terminal_offsets(netlist)), x, y)
 
 
 def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int = 0) -> Placement:
@@ -239,7 +239,6 @@ def place(
     nslots, slot_x, slot_y = _slots(netlist, die)
     n = len(netlist.cells)
     net_terms = _terminal_offsets(netlist)
-    tables = _move_tables(net_terms, n)
     model = _clique_model(net_terms, n)
     terminals = _terminal_arrays(net_terms)
     cols = die.width // _slot_shape(netlist)[0]
@@ -251,7 +250,7 @@ def place(
     rng = random.Random(seed)
     anchor = rng.sample(range(nslots), n)
     slots = _analytic_start(anchor, model, terminals, slot_x, slot_y, cols)
-    _anneal(slots, cols, slot_x, slot_y, net_terms, tables, rng, moves_per_temp, cfg.max_temps)
+    _anneal(slots, cols, slot_x, slot_y, net_terms, rng, moves_per_temp, cfg.max_temps)
     assignments = {c.id: (slot_x[s], slot_y[s]) for c, s in zip(netlist.cells, slots)}
     return Placement(assignments=assignments, die=die)
 
@@ -458,12 +457,14 @@ def _target_sampler(getrandbits, cols, rows, w):
     return draw
 
 
-def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
-            moves_per_temp, max_temps):
+def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, rng, moves_per_temp, max_temps):
     """One annealing run on a slot grid ``cols`` wide; leaves ``cell_slot``
-    at the best-seen assignment."""
-    two, multi, cell_nets = tables
+    at the best-seen assignment.  Pass -1 of its step loop makes
+    ``min(200, 20 n)`` draws, skips those that land on the cell's own slot,
+    records each other move's |delta|, puts it back and draws no rand();
+    ``_start_temperature`` of those costs is the steps' start."""
     n = len(cell_slot)
+    two, multi, cell_nets = _move_tables(net_terms, n)
     nslots = len(slot_x)
     rows = nslots // cols
     slot_cell = [-1] * nslots
@@ -472,14 +473,10 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
     px = [slot_x[s] for s in cell_slot]
     py = [slot_y[s] for s in cell_slot]
 
-    hp = [0] * len(net_terms)
-    for j, terms in enumerate(net_terms):
-        if terms:
-            xs = [px[c] + dx for c, dx, _ in terms]
-            ys = [py[c] + dy for c, _, dy in terms]
-            hp[j] = (max(xs) - min(xs)) + (max(ys) - min(ys))
-    nv = hp[:]  # the values of the nets the last probed move touches
-    cost = sum(hp)
+    hp = [0] * len(net_terms)  # each net's value, where the tables hold it
+    nv = hp[:]  # the values of the nets the last scored move touches
+    cost = _slots_hpwl(np.array(cell_slot), _terminal_arrays(net_terms),
+                       np.array(slot_x), np.array(slot_y))
     best_cost = cost
     # The best-seen state, or None while the current state is it: a copy is
     # taken only when an accepted move leaves that state.
@@ -528,46 +525,18 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
             delta += v - hp[j]
         return delta
 
-    def probe(c, c2, x1, y1, x2, y2):
-        # The HPWL delta of c at (x2, y2) and c2, if any, at (x1, y1), where
-        # px and py already put them.
-        if c2 < 0:
-            return score(c, x2, y2, ())
-        # A net of both cells is scored once, with c's nets.
-        return score(c, x2, y2, ()) + score(c2, x1, y1, cell_nets[c])
-
-    # Calibrate the start temperature from the costs of sampled moves.
-    deltas = []
-    for _ in range(min(200, 20 * n)):
-        c = getrandbits(cell_bits)
-        while c >= n:
-            c = getrandbits(cell_bits)
-        s1 = cell_slot[c]
-        s2 = target(s1)
-        if s1 == s2:
-            continue
-        c2 = slot_cell[s2]
-        x1, y1, x2, y2 = slot_x[s1], slot_y[s1], slot_x[s2], slot_y[s2]
-        px[c] = x2
-        py[c] = y2
-        if c2 >= 0:
-            px[c2] = x1
-            py[c2] = y1
-        deltas.append(abs(probe(c, c2, x1, y1, x2, y2)))
-        px[c] = x1
-        py[c] = y1
-        if c2 >= 0:
-            px[c2] = x2
-            py[c2] = y2
-    t = _start_temperature(deltas)
-    logger.debug("anneal start: T=%.6g, cost %d, %d cells in %d slots, %d moves per step",
-                 t, cost, n, nslots, moves_per_temp)
+    # Scoring each cell where it stands writes every net of the tables to nv.
+    for c in range(n):
+        score(c, px[c], py[c], ())
+    hp[:] = nv
 
     min_accepted = max(1, int(MIN_ACCEPT_RATE * moves_per_temp))
-    for step in range(max_temps):
+    deltas = []
+    for step in range(-1, max_temps):
+        sampling = step < 0
         best_before = best_cost
         accepted = 0
-        for _ in range(moves_per_temp):
+        for _ in range(min(200, 20 * n) if sampling else moves_per_temp):
             c = getrandbits(cell_bits)
             while c >= n:
                 c = getrandbits(cell_bits)
@@ -582,8 +551,14 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
             if c2 >= 0:
                 px[c2] = x1
                 py[c2] = y1
-            delta = probe(c, c2, x1, y1, x2, y2)
-            if delta < 0:
+                # A net of both cells is scored once, with c's nets.
+                delta = score(c, x2, y2, ()) + score(c2, x1, y1, cell_nets[c])
+            else:
+                delta = score(c, x2, y2, ())
+            if sampling:
+                deltas.append(abs(delta))
+                ok = False
+            elif delta < 0:
                 ok = True
             elif delta == 0:
                 ok = rand() < 0.5
@@ -614,6 +589,11 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, tables, rng,
                 if c2 >= 0:
                     px[c2] = x2
                     py[c2] = y2
+        if sampling:
+            t = _start_temperature(deltas)
+            logger.debug("anneal start: T=%.6g, cost %d, %d cells in %d slots, %d moves per step",
+                         t, cost, n, nslots, moves_per_temp)
+            continue
         logger.debug("anneal step %d: T=%.6g, accepted %d of %d, cost %d, best %d, window %d",
                      step, t, accepted, moves_per_temp, cost, best_cost, w)
         t *= COOLING

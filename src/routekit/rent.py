@@ -13,6 +13,7 @@ counts against block sizes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -31,6 +32,8 @@ class RentParams:
     def __post_init__(self):
         if not 0.5 < self.r < 1.0:
             raise ValueError("Rent exponent must lie in (0.5, 1.0)")
+        if not math.isfinite(self.a):
+            raise ValueError(f"average terminals per cell must be finite, got {self.a}")
         if self.a <= 0:
             raise ValueError("average terminals per cell must be positive")
 

@@ -224,6 +224,14 @@ def test_analyze_missing_baseline_exits_2(tmp_path, capsys):
     assert "baseline 'zzz' not among designs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_analyze_non_finite_pins_exits_2_naming_it(tmp_path, capsys, value):
+    dirs = make_runs(tmp_path, fabrics=("2d",))
+    capsys.readouterr()
+    assert run_cli("analyze", *dirs, "--pins", value) == 2
+    assert f"average terminals per cell must be finite, got {value}" in capsys.readouterr().err
+
+
 def test_analyze_writes_csv_file(tmp_path):
     dirs = make_runs(tmp_path, fabrics=("2d",))
     out = tmp_path / "demand.csv"
@@ -559,6 +567,10 @@ def test_out_of_range_run_option_exits_2_naming_it(tmp_path, capsys, command, fl
     ("--max-iters", -1, "max_iters", "max_iters must be >= 0, got -1"),
     ("--freq", -1, "freq", "clock_freq_ghz must be > 0, got -1.0"),
     ("--activity", 1.5, "activity", "switching_activity must lie in (0, 1], got 1.5"),
+    # a non-finite number fails as well, rather than in a later stage or in the artifacts
+    ("--freq", "nan", "freq", "clock_freq_ghz must be finite, got nan"),
+    ("--freq", "inf", "freq", "clock_freq_ghz must be finite, got inf"),
+    ("--pins", "inf", "pins", "avg_pins_per_cell must be finite, got inf"),
 ])
 def test_out_of_range_run_option_fails_before_any_stage(tmp_path, capsys, flag, value, key,
                                                         message):

@@ -252,6 +252,7 @@ def test_load_reports_line_numbers():
     ("kind 2d\naccess_layers 9\nvdd 0.8\n", 2),
     ("kind 2d\naccess_layers 1 2\nvdd 0.8\n", 2),
     ("kind 2d\naccess_layers\nvdd 0.8\n", 2),
+    ("kind s3dc\naccess_layers 2 2 2 2 2\nvdd 0.8\n", 2),  # access layers are distinct
     ("kind 2d\nvdd 0.8 0.9\n", 2),
     ("kind 2d\nsite 40 x\n", 2),
     ("kind 2d extra\n", 1),

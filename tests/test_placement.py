@@ -133,6 +133,15 @@ def test_hpwl_unplaced_cell_raises():
         pl.hpwl(d, placement)
 
 
+def test_hpwl_is_zero_without_nets_or_cells_and_skips_a_cell_on_no_net():
+    die = pl.Die(4, 4, 90.0, 1.0)
+    assert pl.hpwl(tiny_netlist(2, []), pl.Placement({}, die)) == 0
+    no_cells = nl.Netlist("e", tiny_netlist(1, []).masters, [], [nl.Net("n0", [])])
+    assert pl.hpwl(no_cells, pl.Placement({}, die)) == 0
+    d = tiny_netlist(3, [(0, 1)])  # c2 is on no net and left unplaced
+    assert pl.hpwl(d, place_at(d, [(0, 0), (3, 4)], die)) == 7
+
+
 # --- annealer
 
 
@@ -280,6 +289,27 @@ def test_anneal_logs_acceptance_stop(caplog):
     stop = records[-1].getMessage()
     assert stop.startswith("anneal stopped after step 0: ")
     assert stop.endswith("accepted moves, below 2")
+
+
+def test_anneal_with_no_steps_returns_its_analytic_start(caplog):
+    # max_temps 0 runs only the start-temperature sample, which puts every
+    # move back: the result is the analytic start, and the log holds the
+    # start and the max_temps stop
+    d = fab.bind_masters(nl.generate_synthetic(nl.SynthesisParams(num_cells=40, seed=3)), FAB2D)
+    die = pl.size_die(d, FAB2D, 0.6)
+    nslots, xs, ys = pl._slots(d, die)
+    net_terms = pl._terminal_offsets(d)
+    anchor = random.Random(1).sample(range(nslots), len(d.cells))
+    start = pl._analytic_start(anchor, pl._clique_model(net_terms, len(d.cells)),
+                               pl._terminal_arrays(net_terms), xs, ys,
+                               die.width // pl._slot_shape(d)[0])
+    with caplog.at_level(logging.DEBUG, logger="routekit.placement"):
+        placed = pl.place(d, FAB2D, die, seed=1, config=pl.AnnealConfig(max_temps=0))
+    assert placed.assignments == {c.id: (xs[s], ys[s]) for c, s in zip(d.cells, start)}
+    records = [r.getMessage() for r in caplog.records if r.name == "routekit.placement"]
+    assert len(records) == 2
+    assert records[0].startswith("anneal start: T=")
+    assert records[1] == "anneal stopped: max_temps (0) reached"
 
 
 def test_small_instance_brute_force_optimality():
