@@ -60,7 +60,7 @@ def _check_keys(where: str, data, hints: dict) -> dict:
 def _read_json(path: Path, hints: dict) -> dict:
     """The JSON object in ``path``, checked by ``_check_keys``."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(flow.read_input(path))
     except json.JSONDecodeError as exc:
         raise flow.JobError(f"{path}: invalid JSON ({exc})") from exc
     return _check_keys(str(path), data, hints)
@@ -129,7 +129,7 @@ def _read_placement(csv_path: Path, design: nl.Netlist, die: pl.Die) -> pl.Place
     """The placement in ``csv_path``: the header ``cell,x,y``, then every
     design cell on exactly one line, and legal by ``pl.illegal_cell``.  Each
     error names its line."""
-    header, *rows = csv_path.read_text().splitlines() or [""]
+    header, *rows = flow.read_input(csv_path).splitlines() or [""]
     if header != "cell,x,y":
         raise flow.JobError(f"{csv_path}: line 1: expected the header 'cell,x,y', "
                             f"got {header!r}")

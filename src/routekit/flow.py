@@ -118,13 +118,21 @@ class JobResult:
     report: metrics.BenchmarkReport | None = None
 
 
+def read_input(path: Path) -> str:
+    """The text of input file ``path``, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise JobError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_fabric(token: str) -> fab.FabricSpec:
     """The fabric config file ``token`` if it exists, else a builtin fabric."""
     path = Path(token)
     if not path.is_file():
         return fab.builtin_fabric(token)
     try:
-        return fab.load_fabric(path.read_text())
+        return fab.load_fabric(read_input(path))
     except fab.FabricConfigError as exc:
         raise JobError(f"{path}: {exc}") from exc
 
@@ -133,7 +141,7 @@ def read_netlist(path: Path) -> nl.Netlist:
     if not path.is_file():
         raise JobError(f"netlist file not found: {path}")
     try:
-        return nl.parse_netlist(path.read_text(), name=path.stem)
+        return nl.parse_netlist(read_input(path), name=path.stem)
     except nl.NetlistParseError as exc:
         raise JobError(f"{path}: {exc}") from exc
 
@@ -199,7 +207,7 @@ def run_job(spec: JobSpec) -> JobResult:
         cell_count=len(design.cells),
         clock_freq_ghz=power.clock_freq_ghz,
         total_wirelength_mm=metrics.total_wirelength_mm(result.routes, result.graph),
-        wire_power_mw=metrics.wire_power_mw(result.routes, result.graph, power),
+        wire_power_mw=metrics.wire_power_mw(result.routes, result.graph, fabric, power),
         pin_power_mw=pin_mw,
         internal_power_mw=internal_mw,
         footprint_um2=result.placed.die.area_um2,

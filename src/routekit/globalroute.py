@@ -15,6 +15,12 @@ grows and overused edges accumulate history cost.  Multi-terminal nets are
 decomposed over a rectilinear MST of their terminal gcells, and each new
 connection may start from any node of the net's partial tree, so shared
 segments cost nothing.
+
+Each net is searched only inside its terminals' bounding box widened by
+``BBOX_MARGIN`` gcells, and a net that finds no route there is an error:
+capacities are uniform per layer and every via's is >= 1, so a path that
+leaves the box stays a path when clamped to it, and a net with no route
+inside its box has none on the whole die.
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ class RouteParams:
 class RoutingGraph:
     """Gcell lattice with per-edge capacity/demand/history arrays.
 
+    ``layers`` is the length of ``layer_dirs``.  A layer's planar edges
+    share its capacity (0 blocks the layer) and every via holds
+    ``via_capacity`` >= 1, which lets the router search each net inside its
+    own region only (see the module docstring).
+
     Node ids are ``(layer * Y + y) * X + x`` with 0-based layers, which makes
     ascending-id tie-breaking equal to lexicographic (layer, y, x) order.
     Edge ids pack all planar edges (layer by layer) followed by all via
@@ -70,28 +81,26 @@ class RoutingGraph:
 
     __slots__ = (
         "x", "y", "layers", "gcell_size", "site_dim_nm", "layer_dirs",
-        "fabric", "blocks", "pbase", "via_base", "num_edges", "capacity", "demand",
-        "history",
+        "blocks", "pbase", "via_base", "num_edges", "capacity", "demand", "history",
     )
 
-    def __init__(self, x: int, y: int, layers: int, gcell_size: int,
-                 site_dim_nm: float, layer_dirs: tuple[str, ...],
-                 layer_capacities: tuple[int, ...], via_capacity: int,
-                 fabric: FabricSpec | None = None):
+    def __init__(self, x: int, y: int, gcell_size: int, site_dim_nm: float,
+                 layer_dirs: tuple[str, ...], layer_capacities: tuple[int, ...],
+                 via_capacity: int):
+        layers = len(layer_dirs)
         if x < 1 or y < 1 or layers < 1:
             raise ValueError("grid dimensions must be positive")
         if via_capacity < 1:
             raise ValueError("via capacity must be >= 1")
-        if not len(layer_dirs) == len(layer_capacities) == layers:
-            raise ValueError(f"layer_dirs and layer_capacities need {layers} entries each, "
-                             f"got {len(layer_dirs)} and {len(layer_capacities)}")
+        if len(layer_capacities) != layers:
+            raise ValueError(f"layer_capacities needs {layers} entries, one per layer "
+                             f"direction, got {len(layer_capacities)}")
         self.x = x
         self.y = y
         self.layers = layers
         self.gcell_size = gcell_size
         self.site_dim_nm = site_dim_nm
         self.layer_dirs = layer_dirs
-        self.fabric = fabric
 
         self.blocks = [(y, x - 1) if layer_dirs[li] == "h" else (y - 1, x)
                        for li in range(layers)]
@@ -166,10 +175,10 @@ def build_grid(fabric: FabricSpec, die, gcell_size: int) -> RoutingGraph:
     check_gcell_size(gcell_size)
     return RoutingGraph(
         x=-(-die.width // gcell_size), y=-(-die.height // gcell_size),
-        layers=fabric.num_layers, gcell_size=gcell_size, site_dim_nm=fabric.site_dim_nm,
+        gcell_size=gcell_size, site_dim_nm=fabric.site_dim_nm,
         layer_dirs=tuple(layer.direction for layer in fabric.layers),
         layer_capacities=tuple(layer.capacity for layer in fabric.layers),
-        via_capacity=1 if fabric.via_stack_exclusive else DEFAULT_VIA_CAPACITY, fabric=fabric,
+        via_capacity=1 if fabric.via_stack_exclusive else DEFAULT_VIA_CAPACITY,
     )
 
 
@@ -654,7 +663,10 @@ def route_terminal_sets(
     """Route nets given raw terminal entry-node sets.
 
     ``nets`` holds (net_id, [entry nodes per terminal]); every entry list
-    must be non-empty.  Returns routes in input order plus the final
+    must be non-empty.  Each net is searched inside its terminals' box
+    widened by ``BBOX_MARGIN``; as capacities are uniform per layer and
+    vias are at least 1, a net that fails there has no route at all, and
+    RoutingError names it.  Returns routes in input order plus the final
     congestion map.  Zero overflow on return means demand <= capacity on
     every edge.
     """
@@ -763,7 +775,8 @@ def route_terminal_sets(
             task = tasks[i]
             edges = _route_one(graph, task, _region(task, BBOX_MARGIN, graph), pres_fac, scratch)
             if edges is None:
-                edges = _route_with_growth(graph, task, BBOX_MARGIN, pres_fac, scratch)
+                raise RoutingError(
+                    f"net {task.net_id!r}: no route exists (isolated terminal gcell)")
             for e in edges:
                 dem[e] += 1
                 if dem[e] > cap[e]:
@@ -783,20 +796,6 @@ def route_terminal_sets(
     if cmap.overflow_edge_count:
         logger.warning("routing finished with %d overflowed edges", cmap.overflow_edge_count)
     return routes, cmap
-
-
-def _route_with_growth(graph, task, margin, pres_fac, scratch):
-    m = max(1, margin)
-    while True:
-        m *= 4
-        bounds = _region(task, m, graph)
-        edges = _route_one(graph, task, bounds, pres_fac, scratch)
-        if edges is not None:
-            return edges
-        if bounds == (0, graph.x - 1, 0, graph.y - 1):
-            raise RoutingError(
-                f"net {task.net_id!r}: no route exists (isolated terminal gcell)"
-            )
 
 
 def route(

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .fabric import CellEnergyEntry
+from .fabric import CellEnergyEntry, FabricSpec
 from .globalroute import NetRoute, RoutingGraph
 from .netlist import Netlist
 
@@ -49,15 +49,15 @@ def total_wirelength_mm(routes: list[NetRoute], graph: RoutingGraph) -> float:
     return planar * graph.gcell_um / 1000.0
 
 
-def wire_power_mw(routes: list[NetRoute], graph: RoutingGraph, power: PowerParams) -> float:
-    """Switching power of routed interconnect in mW.  Vias have zero length,
-    so only planar edges add capacitance.
+def wire_power_mw(routes: list[NetRoute], graph: RoutingGraph, fabric: FabricSpec,
+                  power: PowerParams) -> float:
+    """Switching power of routed interconnect in mW, on the layers of the
+    ``fabric`` that ``graph`` was built from.  Vias have zero length, so
+    only planar edges add capacitance.
 
     Linear in activity and frequency, quadratic in supply voltage.
     """
-    if graph.fabric is None:
-        raise MetricsError("graph carries no fabric; wire RC is unknown")
-    caps = [graph.gcell_um * layer.cap_per_um for layer in graph.fabric.layers]
+    caps = [graph.gcell_um * layer.cap_per_um for layer in fabric.layers]
     total_cap_ff = 0.0
     for route in routes:
         for e in route.edges:

@@ -125,9 +125,11 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             mname = toks[1][0]
             if mname in masters:
                 raise NetlistParseError(f"duplicate master {mname!r}", lineno, toks[1][1])
-            pin_names = [t[0] for t in toks[3:]]
-            if len(set(pin_names)) != len(pin_names):
-                raise NetlistParseError(f"master {mname!r} repeats a pin name", lineno, toks[3][1])
+            pin_names: list[str] = []
+            for pin, col in toks[3:]:
+                if pin in pin_names:
+                    raise NetlistParseError(f"master {mname!r} repeats pin {pin!r}", lineno, col)
+                pin_names.append(pin)
             masters[mname] = _unbound_master(mname, pin_names)
         elif key == "cell":
             if len(toks) < 3:

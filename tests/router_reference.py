@@ -273,7 +273,7 @@ def route_terminal_sets(
             edges = gr._route_one(graph, task, gr._region(task, margin, graph), pres_fac,
                                   scratch)
             if edges is None:
-                edges = gr._route_with_growth(graph, task, margin, pres_fac, scratch)
+                raise gr.RoutingError(f"net {task.net_id!r}: no route exists (isolated terminal gcell)")
             for e in edges:
                 dem[e] += 1
             routed_edges[i] = edges

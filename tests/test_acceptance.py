@@ -73,7 +73,7 @@ def test_criterion_3_router_oracles():
             x, y, layers = rng.randint(2, 6), rng.randint(2, 6), rng.randint(2, 4)
             dirs = tuple(rng.choice("hv") for _ in range(layers))
             caps = tuple(rng.randint(1, 3) for _ in range(layers))
-            graph = gr.RoutingGraph(x, y, layers, 1, 100.0, dirs, caps, via_capacity=2)
+            graph = gr.RoutingGraph(x, y, 1, 100.0, dirs, caps, via_capacity=2)
             a, b = rng.sample(range(x * y * layers), 2)
             expected = oracle.bfs_hops(graph, [a], [b])
             if expected is None:
@@ -85,7 +85,7 @@ def test_criterion_3_router_oracles():
             checked += 1
 
         # two identical nets, capacity-1 corridor, detour through layer 2
-        graph = gr.RoutingGraph(4, 2, 2, 1, 100.0, ("h", "v"), (1, 1), via_capacity=4)
+        graph = gr.RoutingGraph(4, 2, 1, 100.0, ("h", "v"), (1, 1), via_capacity=4)
         a = graph.node_id(0, 0, 0)
         b = graph.node_id(3, 0, 0)
         routes, cmap = gr.route_terminal_sets(
@@ -193,17 +193,17 @@ def test_criterion_6_placement_quality():
 
 def test_criterion_7_metric_identities():
     with criterion(7, "power identities, PPA formula, report deltas", 1.0):
-        graph = gr.RoutingGraph(12, 10, 2, 10, 100.0, ("h", "v"), (10, 10),
-                                via_capacity=4, fabric=fab.builtin_fabric("2d"))
+        graph = gr.RoutingGraph(12, 10, 10, 100.0, ("h", "v"), (10, 10), via_capacity=4)
+        fabric = fab.builtin_fabric("2d")
         edges = [graph.planar_edge(0, i, y) for y in range(10) for i in range(11)]
         routes = [gr.NetRoute("n0", tuple(edges[:100]))]
-        base = metrics.wire_power_mw(routes, graph, metrics.PowerParams(1.0, 0.8, 0.2))
+        base = metrics.wire_power_mw(routes, graph, fabric, metrics.PowerParams(1.0, 0.8, 0.2))
         for k in (2.0, 3.0, 7.5):
-            by_f = metrics.wire_power_mw(routes, graph, metrics.PowerParams(k, 0.8, 0.2))
+            by_f = metrics.wire_power_mw(routes, graph, fabric, metrics.PowerParams(k, 0.8, 0.2))
             assert abs(by_f - k * base) / (k * base) < 1e-12
-            by_a = metrics.wire_power_mw(routes, graph, metrics.PowerParams(1.0, 0.8, min(1.0, 0.2 * k)))
+            by_a = metrics.wire_power_mw(routes, graph, fabric, metrics.PowerParams(1.0, 0.8, min(1.0, 0.2 * k)))
             assert abs(by_a - min(1.0, 0.2 * k) / 0.2 * base) / base < 1e-12
-            by_v = metrics.wire_power_mw(routes, graph, metrics.PowerParams(1.0, 0.8 * k, 0.2))
+            by_v = metrics.wire_power_mw(routes, graph, fabric, metrics.PowerParams(1.0, 0.8 * k, 0.2))
             assert abs(by_v - k * k * base) / (k * k * base) < 1e-12
 
         row = metrics.BenchmarkReport(

@@ -489,6 +489,59 @@ def test_route_requires_placement_header(tmp_path, capsys, edit, got):
     assert "placement.csv: line 1: expected the header 'cell,x,y', got " + got in err
 
 
+def _not_utf8(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+    return path
+
+
+@pytest.mark.parametrize("kind", ["netlist", "fabric", "config", "run_meta", "placement"])
+def test_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, kind):
+    net = gen_netlist(tmp_path / "n.net", cells=64)
+    if kind in ("run_meta", "placement"):
+        out = _placed_dir(tmp_path)
+        bad = _not_utf8(out / ("run_meta.json" if kind == "run_meta" else "placement.csv"))
+        argv = ["route", out]
+    else:
+        bad = {"netlist": net, "fabric": tmp_path / "f.fab", "config": tmp_path / "c.json"}[kind]
+        (tmp_path / "f.fab").write_text("kind tmi\n")
+        (tmp_path / "c.json").write_text("{}")
+        _not_utf8(bad)
+        argv = ["run", "--netlist", net, "--fabric", tmp_path / "f.fab", *FAST,
+                "-o", tmp_path / "out"]
+        if kind == "config":
+            argv += ["--config", bad]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"routekit: error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n")
+
+
+def test_run_config_with_invalid_json_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"seed": 1,}')
+    assert run_cli("run", "--config", cfg, "--cells", 64, "-o", tmp_path / "out") == 2
+    assert f"routekit: error: {cfg}: invalid JSON (" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_without_output_prints_the_csv_it_writes(tmp_path, capsys):
+    dirs = make_runs(tmp_path, fabrics=("2d", "tmi"))
+    assert run_cli("compare", *dirs, "-o", tmp_path / "cmp") == 0
+    capsys.readouterr()
+    assert run_cli("compare", *dirs) == 0
+    assert capsys.readouterr().out == (tmp_path / "cmp" / "report.csv").read_text()
+
+
+def test_run_with_every_h_layer_blocked_exits_2_with_no_route(tmp_path, capsys):
+    # no layer carries x travel, so no net spanning two columns can route
+    cfg = tmp_path / "no_h.fab"
+    cfg.write_text("kind 2d\n" + "".join(f"layer {i} cap 0\n" for i in (1, 3, 5, 7)))
+    assert run_cli("run", "--fabric", cfg, "--cells", 64, *FAST, "-o", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("routekit: error: net ") and "no route exists" in err
+    assert not (tmp_path / "out" / "routes.txt").exists()
+
+
 @pytest.mark.parametrize("flags, config", [
     (["--cells", 500], None),
     ([], {"cells": 500}),

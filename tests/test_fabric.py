@@ -275,6 +275,9 @@ def test_load_reports_line_numbers():
     ("kind 2d\nlayer 3 cap 4\nlayer 4 cap 4\nlayer 3 c 0.3\n", 4),
     ("kind 2d\naccess_layers 1\nvdd 0.8\naccess_layers 2\n", 4),
     ("kind 2d\ncellpower M 1 0.1\ncellpower N 1 0.1\ncellpower M 2 0.1\n", 4),
+    # an unknown directive, and a layer attribute without its value
+    ("kind 2d\nfrob 1\n", 2),
+    ("kind 2d\nlayer 3 dir\n", 2),
 ])
 def test_fabric_config_errors_name_their_line(tmp_path, capsys, text, lineno):
     with pytest.raises(fab.FabricConfigError, match=f"^line {lineno}: "):
@@ -283,6 +286,14 @@ def test_fabric_config_errors_name_their_line(tmp_path, capsys, text, lineno):
     cfg.write_text(text)
     assert main(["run", "--fabric", str(cfg), "--cells", "16", "-o", str(tmp_path / "out")]) == 2
     assert f"{cfg}: line {lineno}: " in capsys.readouterr().err
+
+
+def test_comments_and_blank_lines_do_not_change_a_config():
+    bare = "kind s3dc\nlayer 3 cap 4\naccess_layers 2 3\nvdd 0.7\n"
+    commented = ("# an s3dc variant\n\nkind s3dc\n   \n# fewer tracks on M3\n"
+                 "layer 3 cap 4  # trailing\n\n\naccess_layers 2 3\n\t\nvdd 0.7\n# end\n")
+    assert fab.load_fabric(commented) == fab.load_fabric(bare)
+    assert fab.load_fabric(bare) != fab.builtin_fabric("s3dc")
 
 
 def test_readme_fabric_config_block_loads():

@@ -13,7 +13,7 @@ from routekit.placement import Die
 
 
 def small_graph(x=4, y=4, layers=2, dirs=("h", "v"), caps=(2, 2), via_cap=4):
-    return gr.RoutingGraph(x, y, layers, 1, 100.0, tuple(dirs), tuple(caps), via_cap)
+    return gr.RoutingGraph(x, y, 1, 100.0, tuple(dirs), tuple(caps), via_cap)
 
 
 def test_build_grid_dimensions():
@@ -142,7 +142,7 @@ def test_single_net_routes_match_bfs_oracle():
         x, y, layers = rng.randint(2, 6), rng.randint(2, 6), rng.randint(2, 4)
         dirs = tuple(rng.choice("hv") for _ in range(layers))
         caps = tuple(rng.randint(1, 3) for _ in range(layers))
-        graph = gr.RoutingGraph(x, y, layers, 1, 100.0, dirs, caps, via_capacity=2)
+        graph = gr.RoutingGraph(x, y, 1, 100.0, dirs, caps, via_capacity=2)
         a, b = rng.sample(range(x * y * layers), 2)
         expected = oracle.bfs_hops(graph, [a], [b])
         if expected is None:
@@ -161,7 +161,7 @@ def test_single_net_routes_match_bfs_oracle():
         dirs = tuple(rng.sample("hv", 2)) + tuple(rng.choice("hv") for _ in range(layers - 2))
         caps = (rng.randint(1, 3), rng.randint(1, 3)) + tuple(
             rng.choice((0, 0, 1, 3)) for _ in range(layers - 2))
-        graph = gr.RoutingGraph(x, y, layers, 1, 100.0, dirs, caps, via_capacity=1)
+        graph = gr.RoutingGraph(x, y, 1, 100.0, dirs, caps, via_capacity=1)
         terminals = []
         for _ in range(2):
             z0 = rng.randrange(layers)
@@ -208,7 +208,7 @@ def test_route_tree_spans_all_terminals():
 
 def test_two_net_conflict_reaches_joint_optimum():
     # a capacity-1 corridor that only one of two identical nets may use
-    graph = gr.RoutingGraph(4, 2, 2, 1, 100.0, ("h", "v"), (1, 1), via_capacity=4)
+    graph = gr.RoutingGraph(4, 2, 1, 100.0, ("h", "v"), (1, 1), via_capacity=4)
     a = graph.node_id(0, 0, 0)
     b = graph.node_id(3, 0, 0)
     routes, cmap = gr.route_terminal_sets(
@@ -262,7 +262,7 @@ def test_doubling_capacity_never_increases_overflow():
             nets.append((f"n{i}", None))  # placeholder, built per graph below
         overflow = {}
         for scale in (1, 2):
-            graph = gr.RoutingGraph(6, 6, 2, 1, 100.0, ("h", "v"),
+            graph = gr.RoutingGraph(6, 6, 1, 100.0, ("h", "v"),
                                     (1 * scale, 1 * scale), via_capacity=2 * scale)
             nodes = graph.x * graph.y * graph.layers
             pair_rng = random.Random(100 + trial)
@@ -294,7 +294,7 @@ def test_route_deterministic():
 
 def test_unroutable_reports_isolated_terminal():
     # both layers vertical: no x movement possible anywhere
-    graph = gr.RoutingGraph(3, 3, 2, 1, 100.0, ("v", "v"), (2, 2), via_capacity=2)
+    graph = gr.RoutingGraph(3, 3, 1, 100.0, ("v", "v"), (2, 2), via_capacity=2)
     a = graph.node_id(0, 0, 0)
     b = graph.node_id(2, 0, 0)
     with pytest.raises(gr.RoutingError, match="no route"):
@@ -303,7 +303,7 @@ def test_unroutable_reports_isolated_terminal():
 
 def test_blocked_layer_is_not_traversable():
     # layer 1 blocked (capacity 0); the route must climb to layer 2
-    graph = gr.RoutingGraph(4, 1, 2, 1, 100.0, ("h", "h"), (0, 2), via_capacity=2)
+    graph = gr.RoutingGraph(4, 1, 1, 100.0, ("h", "h"), (0, 2), via_capacity=2)
     a = graph.node_id(0, 0, 0)
     b = graph.node_id(3, 0, 0)
     routes, cmap = gr.route_terminal_sets(graph, [("n0", [[a], [b]])])
@@ -398,7 +398,7 @@ def test_ratio_above_one_flags_congested():
 
 def test_via_overflow_flags_congested():
     # one gcell, two layers: the only edge is a capacity-1 via
-    graph = gr.RoutingGraph(1, 1, 2, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
+    graph = gr.RoutingGraph(1, 1, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
     _, cmap = gr.route_terminal_sets(graph, [("na", [[0], [1]]), ("nb", [[0], [1]])])
     assert cmap.overflow_edge_count == 1
     assert cmap.congested is True
@@ -406,7 +406,7 @@ def test_via_overflow_flags_congested():
 
 def via_graph():
     # one gcell, two layers: the only edge is a capacity-1 via
-    return gr.RoutingGraph(1, 1, 2, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
+    return gr.RoutingGraph(1, 1, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
 
 
 def closing_record(caplog, graph, nets, params=None):
@@ -441,7 +441,7 @@ def test_router_closing_record_gives_each_stop_reason(caplog, monkeypatch):
 
 
 def test_zero_capacity_edge_ratio_agrees_everywhere():
-    graph = gr.RoutingGraph(3, 1, 2, 1, 100.0, ("h", "v"), (0, 10), via_capacity=1)
+    graph = gr.RoutingGraph(3, 1, 1, 100.0, ("h", "v"), (0, 10), via_capacity=1)
     graph.demand[0] = 1
     cmap = gr.build_congestion_map(graph)
     row = gr.demand_resource_ratios(cmap)[0]
@@ -489,14 +489,34 @@ def test_congestion_csv_matches_per_edge_formatting():
         assert gr.congestion_csv(cmap, layer) == "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("layers, dirs, caps", [
-    (1, ("h", "v"), (1, 1)),  # a second direction with no layer
-    (3, ("h", "v"), (1, 1)),  # a layer with no direction
-    (2, ("h", "v"), (1,)),  # a layer with no capacity
-])
-def test_routing_graph_rejects_layer_lists_of_wrong_length(layers, dirs, caps):
-    with pytest.raises(ValueError, match=f"need {layers} entries each"):
-        gr.RoutingGraph(3, 3, layers, 1, 100.0, dirs, caps, 1)
+def test_routing_graph_rejects_layer_lists_of_wrong_length():
+    # a layer with no capacity
+    with pytest.raises(ValueError, match="needs 2 entries, one per layer direction, got 1"):
+        gr.RoutingGraph(3, 3, 1, 100.0, ("h", "v"), (1,), 1)
+
+
+@pytest.mark.parametrize("x, y, dirs, via_cap, message", [
+    (0, 3, ("h", "v"), 1, "grid dimensions must be positive"),
+    (3, 0, ("h", "v"), 1, "grid dimensions must be positive"),
+    (3, 3, (), 1, "grid dimensions must be positive"),  # an empty stack
+    (3, 3, ("h", "v"), 0, "via capacity must be >= 1"),
+], ids=["no-columns", "no-rows", "no-layers", "via-cap-0"])
+def test_routing_graph_rejects_an_empty_lattice_and_a_closed_via(x, y, dirs, via_cap, message):
+    with pytest.raises(ValueError, match=message):
+        gr.RoutingGraph(x, y, 1, 100.0, dirs, (1,) * len(dirs), via_cap)
+
+
+def test_edge_info_rejects_ids_outside_the_lattice():
+    graph = small_graph()
+    for eid in (-1, graph.num_edges):
+        with pytest.raises(ValueError, match=f"bad edge id {eid}"):
+            graph.edge_info(eid)
+
+
+@pytest.mark.parametrize("entries", [[], [[0], []]], ids=["no-terminals", "empty-terminal"])
+def test_route_terminal_sets_rejects_an_empty_entry_set(entries):
+    with pytest.raises(gr.RoutingError, match="net 'n0': empty terminal entry set"):
+        gr.route_terminal_sets(small_graph(), [("n0", entries)])
 
 
 @pytest.mark.parametrize("layer", [0, 3, -1])

@@ -8,12 +8,14 @@ from routekit import fabric as fab
 from routekit import globalroute as gr
 from routekit import metrics
 
+FABRIC_2D = fab.builtin_fabric("2d")
+
 
 def graph_1um_gcells(layers=2):
     # gcell_size * site_dim = 1000 nm = 1 um per planar edge
     return gr.RoutingGraph(
-        10, 10, layers, 10, 100.0, tuple("hv"[i % 2] for i in range(layers)),
-        tuple([10] * layers), via_capacity=4, fabric=fab.builtin_fabric("2d"),
+        10, 10, 10, 100.0, tuple("hv"[i % 2] for i in range(layers)),
+        tuple([10] * layers), via_capacity=4,
     )
 
 
@@ -40,30 +42,27 @@ def test_wirelength_vias_default_zero_length():
 
 def test_wire_power_hand_value():
     # 100 um at 0.2 fF/um, 1 GHz, 0.8 V, activity 0.2 -> 2.56 uW
-    graph = gr.RoutingGraph(
-        12, 10, 2, 10, 100.0, ("h", "v"), (10, 10), via_capacity=4,
-        fabric=fab.builtin_fabric("2d"),
-    )
+    graph = gr.RoutingGraph(12, 10, 10, 100.0, ("h", "v"), (10, 10), via_capacity=4)
     edges = [graph.planar_edge(0, i, y) for y in range(10) for i in range(11)]
     routes = [gr.NetRoute("n0", tuple(edges[:100]))]
     power = metrics.PowerParams(clock_freq_ghz=1.0, supply_voltage=0.8, switching_activity=0.2)
-    got = metrics.wire_power_mw(routes, graph, power)
+    got = metrics.wire_power_mw(routes, graph, FABRIC_2D, power)
     assert got == pytest.approx(2.56e-3, rel=1e-12)
 
 
 def test_wire_power_linear_in_frequency_and_activity():
     graph = graph_1um_gcells()
     routes = [route_with_edges(graph, 7)]
-    base = metrics.wire_power_mw(routes, graph, metrics.PowerParams(1.0, 0.8, 0.2))
-    assert metrics.wire_power_mw(routes, graph, metrics.PowerParams(2.0, 0.8, 0.2)) == pytest.approx(2 * base, rel=1e-12)
-    assert metrics.wire_power_mw(routes, graph, metrics.PowerParams(1.0, 0.8, 0.4)) == pytest.approx(2 * base, rel=1e-12)
+    base = metrics.wire_power_mw(routes, graph, FABRIC_2D, metrics.PowerParams(1.0, 0.8, 0.2))
+    assert metrics.wire_power_mw(routes, graph, FABRIC_2D, metrics.PowerParams(2.0, 0.8, 0.2)) == pytest.approx(2 * base, rel=1e-12)
+    assert metrics.wire_power_mw(routes, graph, FABRIC_2D, metrics.PowerParams(1.0, 0.8, 0.4)) == pytest.approx(2 * base, rel=1e-12)
 
 
 def test_wire_power_quadratic_in_voltage():
     graph = graph_1um_gcells()
     routes = [route_with_edges(graph, 7)]
-    base = metrics.wire_power_mw(routes, graph, metrics.PowerParams(1.0, 0.8, 0.2))
-    quad = metrics.wire_power_mw(routes, graph, metrics.PowerParams(1.0, 1.6, 0.2))
+    base = metrics.wire_power_mw(routes, graph, FABRIC_2D, metrics.PowerParams(1.0, 0.8, 0.2))
+    quad = metrics.wire_power_mw(routes, graph, FABRIC_2D, metrics.PowerParams(1.0, 1.6, 0.2))
     assert quad == pytest.approx(4 * base, rel=1e-12)
 
 

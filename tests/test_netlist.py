@@ -142,6 +142,28 @@ def test_each_rule_is_parsed_at_its_place_and_validated_alike(line, message, col
     assert nl.validate(built) == [message]
 
 
+@pytest.mark.parametrize("line, message, column", [
+    ("master N A B", "expected 'master <name> pins <p1> ...'", 1),
+    ("master M pins A", "duplicate master 'M'", 8),
+    ("cell c3", "expected 'cell <id> <master>'", 1),
+    ("net n2", "net needs an id and at least one terminal", 1),
+    ("net n2 c1.OUT c2A", "terminal 'c2A' must be <cell>.<pin>", 15),
+], ids=["master-no-pins", "master-repeated", "cell-no-master", "net-no-terminal",
+        "terminal-no-dot"])
+def test_each_syntax_error_is_reported_at_its_token(line, message, column):
+    with pytest.raises(nl.NetlistParseError) as err:
+        nl.parse_netlist(CONSISTENT + line + "\n")
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line 5, col {column}: {message}", 5, column)
+
+
+def test_parse_repeated_master_pin_is_named_at_the_repeat():
+    with pytest.raises(nl.NetlistParseError) as err:
+        nl.parse_netlist("master M pins A B A\n")
+    assert (str(err.value), err.value.line, err.value.column) == (
+        "line 1, col 19: master 'M' repeats pin 'A'", 1, 19)
+
+
 def test_validate_flags_net_without_terminals():
     # the text format cannot hold such a net: the parser rejects its syntax
     built = nl.parse_netlist(CONSISTENT)

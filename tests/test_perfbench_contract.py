@@ -40,7 +40,7 @@ def test_router_log_records_match_tracing(monkeypatch):
     # the router reroutes until the stagnation rule, here with no floor on
     # the reroute batch, stops it
     monkeypatch.setattr(gr, "STAGNATION_MIN_NETS", 0)
-    graph = gr.RoutingGraph(1, 1, 2, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
+    graph = gr.RoutingGraph(1, 1, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
     log = logging.getLogger("routekit.globalroute")
     handler = _Records()
     level = log.level

@@ -5,12 +5,15 @@ edge of the lattice lies.  The table-driven A* search and the overflow bookkeepi
 must give exactly what the frozen references in ``router_reference.py``
 give, its lower bound must be consistent and its via table must match an
 enumeration of layer walks, and routed nets must be trees whose usage
-accounts for every unit of demand.  The hypothesis profile is bounded and
+accounts for every unit of demand.  On any layer stack, a net searched in
+its own region fails exactly when a BFS over the whole die finds one of its
+terminals cut off.  The hypothesis profile is bounded and
 derandomised, so every run checks the same examples.
 """
 
 import copy
 
+import pytest
 import router_reference as ref
 import routing_oracles as oracle
 from hypothesis import HealthCheck, given, settings
@@ -41,7 +44,7 @@ def grids(draw, max_side=6, max_layers=4):
     caps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
     caps += draw(st.lists(st.integers(0, 3), min_size=layers - 2, max_size=layers - 2))
     via_cap = draw(st.integers(1, 3))
-    return gr.RoutingGraph(x, y, layers, 1, 100.0, tuple(dirs), tuple(caps), via_cap)
+    return gr.RoutingGraph(x, y, 1, 100.0, tuple(dirs), tuple(caps), via_cap)
 
 
 def node_sets(rnd, nnodes, count, max_size=3):
@@ -214,6 +217,45 @@ def test_routes_are_trees_and_account_for_demand(graph, rnd, nnets, seed_overflo
     assert cmap.congested == (overflowed > 0)
 
 
+@st.composite
+def any_stacks(draw, max_side=6, max_layers=4):
+    """A routing graph whose stack may leave nodes unreachable: any layer
+    count from 1, any direction per layer (one-direction stacks included)
+    and any capacity per layer, zero included."""
+    x = draw(st.integers(1, max_side))
+    y = draw(st.integers(1, max_side))
+    layers = draw(st.integers(1, max_layers))
+    dirs = draw(st.lists(st.sampled_from("hv"), min_size=layers, max_size=layers))
+    caps = draw(st.lists(st.integers(0, 2), min_size=layers, max_size=layers))
+    return gr.RoutingGraph(x, y, 1, 100.0, tuple(dirs), tuple(caps), draw(st.integers(1, 3)))
+
+
+@settings(BOUNDED, max_examples=400)
+@given(graph=any_stacks(), rnd=st.randoms(use_true_random=False), nnets=st.integers(1, 6),
+       max_iters=st.integers(0, 3))
+def test_a_net_fails_exactly_when_a_terminal_is_unreachable_on_the_die(graph, rnd, nnets,
+                                                                       max_iters):
+    # Each net is searched inside its terminals' box widened by BBOX_MARGIN
+    # only, and a failed search is final; the die-wide BFS oracle decides
+    # whether some terminal of the net is cut off from its first terminal.
+    # A terminal's entries are one gcell's run of layers, as a pin's are, so
+    # vias join them.
+    nets = [(f"n{i}", [pin_stack(rnd, graph) for _ in range(rnd.randint(2, 4))])
+            for i in range(nnets)]
+    unroutable = {nid for nid, entries in nets
+                  if any(oracle.bfs_hops(graph, entries[0], entry) is None
+                         for entry in entries[1:])}
+    if unroutable:
+        with pytest.raises(gr.RoutingError, match="no route exists") as err:
+            gr.route_terminal_sets(graph, nets, gr.RouteParams(max_iters=max_iters))
+        assert str(err.value).split("'")[1] in unroutable
+        return
+    routes, _ = gr.route_terminal_sets(graph, nets, gr.RouteParams(max_iters=max_iters))
+    for route, (_, entries) in zip(routes, nets):
+        nodes = route_tree_nodes(graph, route.edges) if route.edges else set(entries[0])
+        assert all(nodes & set(entry) for entry in entries)
+
+
 # --- the lattice's edge blocks
 
 
@@ -246,7 +288,7 @@ def test_lattice_edge_ids_map_and_metrics_agree(graph, data):
 
     caps = data.draw(st.lists(st.floats(0.01, 5.0), min_size=graph.layers,
                               max_size=graph.layers))
-    graph.fabric = fab.FabricSpec(
+    fabric = fab.FabricSpec(
         kind=fab.FabricKind.PLANAR_2D,
         layers=tuple(fab.RoutingLayer(li + 1, d, fab.DEFAULT_EDGE_CAPACITY, c)
                      for li, (d, c) in enumerate(zip(graph.layer_dirs, caps))),
@@ -266,5 +308,5 @@ def test_lattice_edge_ids_map_and_metrics_agree(graph, data):
     power = metrics.PowerParams()
     v = power.supply_voltage
     expected = power.switching_activity * power.clock_freq_ghz * v * v * cap_ff * 1e-3
-    assert metrics.wire_power_mw(routes, graph, power) == expected
+    assert metrics.wire_power_mw(routes, graph, fabric, power) == expected
     assert metrics.total_wirelength_mm(routes, graph) == planar * graph.gcell_um / 1000.0
