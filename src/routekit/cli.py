@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -44,16 +45,19 @@ def _inputs(cls) -> dict:
 
 
 def _check_keys(where: str, data, hints: dict) -> dict:
-    """``data``, required to be a JSON object with a value of type ``hints[k]`` at each k."""
+    """``data``, required to be a JSON object with a value of type ``hints[k]`` at each k;
+    a float value must be finite (Python's ``json`` reads ``NaN`` and ``Infinity``)."""
     if not isinstance(data, dict):
         raise flow.JobError(f"{where}: expected a JSON object, got {json.dumps(data)}")
     for key, hint in hints.items():
         if key not in data:
             raise flow.JobError(f"{where}: missing key {key!r}")
         try:
-            flow.checked(key, data[key], hint)
+            value = flow.checked(key, data[key], hint)
         except flow.JobError as exc:
             raise flow.JobError(f"{where}: {exc}") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise flow.JobError(f"{where}: key {key!r} must be finite, got {value!r}")
     return data
 
 
@@ -76,8 +80,11 @@ def _spec(args: argparse.Namespace) -> flow.JobSpec:
     unknown = set(loaded) - set(hints)
     if unknown:
         raise flow.JobError(f"{args.config}: unknown keys {sorted(unknown)}")
-    _check_keys(args.config, loaded, {key: hints[key] for key in loaded})
-    return flow.JobSpec(**{**loaded, **flags})
+    try:
+        spec = flow.JobSpec(**loaded)
+    except flow.JobError as exc:
+        raise flow.JobError(f"{args.config}: {exc}") from exc
+    return dataclasses.replace(spec, **flags)
 
 
 def _write(path: Path, text: str) -> None:
@@ -190,8 +197,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     density = _inputs(rent.PinDensityInput)
     designs = []
     for d in args.rundirs:
-        meta = _read_json(Path(d) / "run_meta.json", {"label": str, **density})
-        designs.append((meta["label"], rent.PinDensityInput(**{k: meta[k] for k in density})))
+        meta_path = Path(d) / "run_meta.json"
+        meta = _read_json(meta_path, {"label": str, **density})
+        try:
+            designs.append((meta["label"], rent.PinDensityInput(**{k: meta[k] for k in density})))
+        except ValueError as exc:
+            raise flow.JobError(f"{meta_path}: {exc}") from exc
     baseline = args.baseline or designs[0][0]
     rows = rent.compare_demand(designs, rent.RentParams(r=args.rent, a=args.pins), baseline)
     csv_text = rent.demand_table_csv(rows)

@@ -389,26 +389,30 @@ class _Scratch:
     """Per-search node state reused across A* calls via generation stamps,
     plus the grid's per-node tables, built once per routing call.
 
+    ``gen`` counts the searches and ``pops`` their heap pops.  In search
+    ``gen`` node v is open when ``stamp[v] == gen``, closed when it is
+    ``-gen`` and unseen otherwise: ``gen`` only grows from 1.
+
     ``nx``/``ny``/``nz`` give each node's coordinates, ``pplus`` the id of
     its planar edge toward +x ('h' layers) or +y ('v' layers), -1 where its
     layer's block has no such edge, and ``horiz`` flags the 'h' layers.  A
     node's -direction planar edge is ``pplus`` of its -direction neighbour;
     its via edges are ``via_base + u - X*Y`` (down) and ``via_base + u``
-    (up).  ``via_bound`` is the grid's ``_via_bound_table``.  ``pops``
-    counts heap pops over all searches, as ``gen`` counts the searches.
+    (up), so adjacent nodes v and w share the edge ``pplus[min(v, w)]`` on
+    one layer and ``via_base + min(v, w)`` across two.  ``via_bound`` is the
+    grid's ``_via_bound_table``; ``cuts`` says whether no layer joins the
+    columns (no 'h' capacity) and the rows (no 'v' capacity).
     """
 
-    __slots__ = ("g", "stamp", "closed_stamp", "parent_node", "parent_edge", "gen",
-                 "pops", "nx", "ny", "nz", "pplus", "horiz", "via_bound")
+    __slots__ = ("g", "stamp", "parent_node", "gen", "pops", "nx", "ny", "nz", "pplus",
+                 "horiz", "via_bound", "cuts")
 
     def __init__(self, graph: RoutingGraph):
         x_dim, y_dim, layers = graph.x, graph.y, graph.layers
         nnodes = x_dim * y_dim * layers
         self.g = [0.0] * nnodes
         self.stamp = [0] * nnodes
-        self.closed_stamp = [0] * nnodes
         self.parent_node = [-1] * nnodes
-        self.parent_edge = [-1] * nnodes
         self.gen = 0
         self.pops = 0
 
@@ -422,6 +426,12 @@ class _Scratch:
             for gy in range(y_dim) for gx in range(x_dim)
         ]
         self.via_bound = _via_bound_table(graph.layer_dirs)
+        # An axis of one gcell needs no layer; on a longer one, a layer's
+        # first planar edge holds the capacity of all of them.
+        self.cuts = tuple(
+            n > 1 and not any(graph.capacity[b] > 0
+                              for b, d in zip(graph.pbase, graph.layer_dirs) if d == axis)
+            for n, axis in ((x_dim, "h"), (y_dim, "v")))
 
 
 def _heuristic_tables(graph: RoutingGraph, targets: set[int], scratch: _Scratch):
@@ -475,6 +485,10 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     targets' box plus the vias that the layer directions force.  Ties break
     on ascending node id, i.e. lexicographic (layer, y, x).  Returns
     (edges, nodes) or None.
+
+    As the bound is consistent, a closed node is final, and the sign of
+    its stamp marks it; a path edge is derived from its two nodes (see
+    ``_Scratch``).
     """
     x_dim = graph.x
     xy = x_dim * graph.y
@@ -487,11 +501,10 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
 
     scratch.gen += 1
     gen = scratch.gen
+    closed = -gen
     gs = scratch.g
     stamp = scratch.stamp
-    closed = scratch.closed_stamp
     pnode = scratch.parent_node
-    pedge = scratch.parent_edge
     nx = scratch.nx
     ny = scratch.ny
     nz = scratch.nz
@@ -522,18 +535,19 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     while heap:
         _, u = pop(heap)
         pops += 1
-        if closed[u] == gen:
+        if stamp[u] == closed:
             continue
-        closed[u] = gen
+        stamp[u] = closed
         if u in targets:
             scratch.pops += pops
             edges = []
             nodes = [u]
             v = u
-            while pnode[v] >= 0:
-                edges.append(pedge[v])
-                v = pnode[v]
-                nodes.append(v)
+            while (w := pnode[v]) >= 0:
+                m = min(v, w)
+                edges.append(pplus[m] if nz[v] == nz[w] else via_base + m)
+                nodes.append(w)
+                v = w
             edges.reverse()
             nodes.reverse()
             return edges, nodes
@@ -552,55 +566,55 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
             at, lo, hi, step, hp, hrest = uy, ylo, yhi, x_dim, hy, hx[ux] + vb[zf]
         if at > lo:
             v = u - step
-            if closed[v] != gen:
+            sv = stamp[v]
+            if sv != closed:
                 eid = pplus[v]
                 c = cap[eid]
                 if c > 0:
                     over = dem[eid] + 1 - c
                     ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
-                    if stamp[v] != gen or gs[v] > ng:
+                    if sv != gen or gs[v] > ng:
                         stamp[v] = gen
                         gs[v] = ng
                         pnode[v] = u
-                        pedge[v] = eid
                         push(heap, (ng + (hp[at - 1] + hrest), v))
         if at < hi:
             v = u + step
-            if closed[v] != gen:
+            sv = stamp[v]
+            if sv != closed:
                 eid = pplus[u]
                 c = cap[eid]
                 if c > 0:
                     over = dem[eid] + 1 - c
                     ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
-                    if stamp[v] != gen or gs[v] > ng:
+                    if sv != gen or gs[v] > ng:
                         stamp[v] = gen
                         gs[v] = ng
                         pnode[v] = u
-                        pedge[v] = eid
                         push(heap, (ng + (hp[at + 1] + hrest), v))
         if uz > 0:
             v = u - xy
-            if closed[v] != gen:
+            sv = stamp[v]
+            if sv != closed:
                 eid = via_base + v
                 over = dem[eid] + 1 - cap[eid]
                 ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
-                if stamp[v] != gen or gs[v] > ng:
+                if sv != gen or gs[v] > ng:
                     stamp[v] = gen
                     gs[v] = ng
                     pnode[v] = u
-                    pedge[v] = eid
                     push(heap, (ng + (hxy + vb[zf - 4]), v))
         if uz < top:
             v = u + xy
-            if closed[v] != gen:
+            sv = stamp[v]
+            if sv != closed:
                 eid = via_base + u
                 over = dem[eid] + 1 - cap[eid]
                 ng = g1 + hist[eid] + (pres_fac * over if over > 0 else 0.0)
-                if stamp[v] != gen or gs[v] > ng:
+                if sv != gen or gs[v] > ng:
                     stamp[v] = gen
                     gs[v] = ng
                     pnode[v] = u
-                    pedge[v] = eid
                     push(heap, (ng + (hxy + vb[zf + 4]), v))
     scratch.pops += pops
     return None
@@ -627,14 +641,33 @@ def _region(task: _NetTask, margin: int, graph: RoutingGraph) -> tuple[int, int,
 
 def _route_one(graph: RoutingGraph, task: _NetTask, bounds, pres_fac: float,
                scratch: _Scratch):
-    """Route a whole net inside ``bounds``; returns edge list or None."""
-    entry_sets = [set(e) for e in task.entries]
+    """Route a whole net inside ``bounds``; returns edge list or None.
+
+    Vias join each gcell's stack, so the lattice's connected parts are the
+    die, its columns, its rows or its gcell stacks (``scratch.cuts``).  Each
+    terminal keeps only its entries in the lowest part that holds an entry
+    of every terminal; with no such part the net has no route.
+    """
+    entries = task.entries
+    cut_x, cut_y = scratch.cuts
+    if cut_x or cut_y:
+        nx, ny = scratch.nx, scratch.ny
+
+        def part(u: int) -> tuple[int, int]:
+            return (ny[u] if cut_y else 0, nx[u] if cut_x else 0)
+
+        shared = set.intersection(*({part(u) for u in e} for e in entries))
+        if not shared:
+            return None
+        lowest = min(shared)
+        entries = [[u for u in e if part(u) == lowest] for e in entries]
+    entry_sets = [set(e) for e in entries]
     tree_nodes: set[int] | None = None
     edges: list[int] = []
     for t in task.order:
         targets = entry_sets[t]
         if tree_nodes is None:
-            sources = task.entries[0]
+            sources = entries[0]
             common = entry_sets[0] & targets
             if common:
                 tree_nodes = {min(common)}
@@ -671,23 +704,17 @@ def route_terminal_sets(
     every edge.
     """
     params = params or RouteParams()
-    x_dim = graph.x
-    y_dim = graph.y
+    scratch = _Scratch(graph)
+    nx = scratch.nx
+    ny = scratch.ny
 
     tasks: list[_NetTask] = []
     for net_id, entries in nets:
         if not entries or any(not e for e in entries):
             raise RoutingError(f"net {net_id!r}: empty terminal entry set")
-        reps = []
-        xs: list[int] = []
-        ys: list[int] = []
-        for entry in entries:
-            ex = entry[0] % x_dim
-            ey = (entry[0] // x_dim) % y_dim
-            reps.append((ex, ey))
-            for node in entry:
-                xs.append(node % x_dim)
-                ys.append((node // x_dim) % y_dim)
+        reps = [(nx[entry[0]], ny[entry[0]]) for entry in entries]
+        xs = [nx[node] for entry in entries for node in entry]
+        ys = [ny[node] for entry in entries for node in entry]
         bbox = (min(xs), max(xs), min(ys), max(ys))
         task = _NetTask(
             net_id=net_id, entries=entries, bbox=bbox,
@@ -698,11 +725,10 @@ def route_terminal_sets(
         tasks.append(task)
 
     order = sorted(range(len(tasks)), key=lambda i: (-tasks[i].hp, tasks[i].net_id))
-    routed_edges: dict[int, list[int]] = {}
+    routed_edges: list[list[int]] = [[] for _ in tasks]
     dem = graph.demand
     pres_fac = PRESENT_FACTOR
 
-    scratch = _Scratch(graph)
     cap = graph.capacity
     # Edges with demand > capacity, kept current at every demand change.
     overflowed = {e for e in range(graph.num_edges) if dem[e] > cap[e]}
@@ -724,8 +750,8 @@ def route_terminal_sets(
                 stale += 1
             users: dict[int, list[int]] = {e: [] for e in over}
             for i in order:
-                edges = routed_edges.get(i)
-                if edges is None or overflowed.isdisjoint(edges):
+                edges = routed_edges[i]
+                if overflowed.isdisjoint(edges):
                     continue
                 for e in edges:
                     if e in overflowed:
@@ -756,7 +782,7 @@ def route_terminal_sets(
             for e in over:
                 graph.history[e] += HISTORY_INCREMENT * (dem[e] - cap[e])
             for i in pending:
-                for e in routed_edges.pop(i):
+                for e in routed_edges[i]:
                     dem[e] -= 1
                     if dem[e] == cap[e]:
                         overflowed.discard(e)
@@ -790,7 +816,7 @@ def route_terminal_sets(
                  "%d searches and %d heap pops", passes,
                  "converged" if not overflowed else stop, searches, pops)
 
-    routes = [NetRoute(net_id=t.net_id, edges=tuple(routed_edges.get(i, ())))
+    routes = [NetRoute(net_id=t.net_id, edges=tuple(routed_edges[i]))
               for i, t in enumerate(tasks)]
     cmap = build_congestion_map(graph)
     if cmap.overflow_edge_count:

@@ -51,6 +51,21 @@ def bfs_hops(graph, sources, targets):
     return None
 
 
+def components(graph):
+    """A connected-part label per node id, by BFS over traversable edges."""
+    label = [None] * (graph.x * graph.y * graph.layers)
+    for start in range(len(label)):
+        if label[start] is None:
+            label[start] = start
+            q = deque([start])
+            while q:
+                for v, e in neighbors(graph, q.popleft()):
+                    if label[v] is None and traversable(graph, e):
+                        label[v] = start
+                        q.append(v)
+    return label
+
+
 def simple_paths(graph, src, dst, max_len):
     """All simple paths (as edge tuples) from src to dst up to max_len edges."""
     out = []

@@ -310,6 +310,18 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, config, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--gcell", 3]])
+def test_config_value_out_of_range_names_the_file(tmp_path, capsys, flags):
+    # checked as the file's own value, before a flag overrides it, as a
+    # value of the wrong type is
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"gcell": 0}))
+    with mock.patch.object(nl, "generate_synthetic", side_effect=AssertionError("a stage ran")):
+        assert run_cli("run", "--config", cfg, "--cells", 200, *flags, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"routekit: error: {cfg}: key 'gcell': gcell_size must be >= 1, got 0\n")
+
+
 def test_config_accepts_int_for_float_and_null_for_nullable(tmp_path):
     net = gen_netlist(tmp_path / "n.net")
     cfg = tmp_path / "run.json"
@@ -451,6 +463,33 @@ def test_malformed_report_json_exits_2_naming_file_and_key(tmp_path, capsys, rep
     assert run_cli("compare", tmp_path) == 2
     err = capsys.readouterr().err
     assert "report.json" in err and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    # Python's json reads NaN and Infinity; neither is a number a run can have
+    ({"die_area_um2": float("nan")}, "key 'die_area_um2' must be finite, got nan"),
+    ({"die_area_um2": float("inf")}, "key 'die_area_um2' must be finite, got inf"),
+    ({"die_area_um2": 0}, "die area must be positive"),
+    ({"total_pins": -5}, "pin count cannot be negative"),
+])
+def test_analyze_rejects_run_meta_values_naming_the_file(tmp_path, capsys, edit, message):
+    out = _placed_dir(tmp_path)
+    path = out / "run_meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    capsys.readouterr()
+    assert run_cli("analyze", out) == 2
+    assert capsys.readouterr().err == f"routekit: error: {path}: {message}\n"
+
+
+def test_compare_rejects_a_non_finite_report_value_naming_the_file(tmp_path, capsys):
+    row = {"label": "2d", "cell_count": 64, "clock_freq_ghz": 1.0, "total_wirelength_mm": 1.0,
+           "wire_power_mw": 1.0, "pin_power_mw": 1.0, "internal_power_mw": 1.0,
+           "footprint_um2": float("nan")}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"rows": [row]}))
+    assert run_cli("compare", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"routekit: error: {path}: rows[0]: key 'footprint_um2' must be finite, got nan\n")
 
 
 def test_compare_without_rows_exits_2(tmp_path, capsys):

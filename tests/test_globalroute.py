@@ -301,6 +301,17 @@ def test_unroutable_reports_isolated_terminal():
         gr.route_terminal_sets(graph, [("n0", [[a], [b]])])
 
 
+def test_terminal_entries_keep_to_a_part_that_reaches_every_terminal():
+    # one 'v' layer: the lattice falls apart into columns, and only column 2
+    # holds an entry of every terminal; a first connection in column 0 would
+    # leave the third terminal cut off
+    graph = gr.RoutingGraph(3, 3, 1, 100.0, ("v",), (1,), via_capacity=1)
+    n = graph.node_id
+    nets = [("n0", [[n(0, 0, 0), n(2, 0, 0)], [n(0, 1, 0), n(2, 1, 0)], [n(2, 2, 0)]])]
+    routes, _ = gr.route_terminal_sets(graph, nets)
+    assert routes[0].edges == (graph.planar_edge(0, 2, 0), graph.planar_edge(0, 2, 1))
+
+
 def test_blocked_layer_is_not_traversable():
     # layer 1 blocked (capacity 0); the route must climb to layer 2
     graph = gr.RoutingGraph(4, 1, 1, 100.0, ("h", "h"), (0, 2), via_capacity=2)

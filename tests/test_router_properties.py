@@ -3,12 +3,16 @@
 Edge ids, the congestion map and the wire metrics must agree on where every
 edge of the lattice lies.  The table-driven A* search and the overflow bookkeeping of the reroute loop
 must give exactly what the frozen references in ``router_reference.py``
-give, its lower bound must be consistent and its via table must match an
-enumeration of layer walks, and routed nets must be trees whose usage
-accounts for every unit of demand.  On any layer stack, a net searched in
-its own region fails exactly when a BFS over the whole die finds one of its
-terminals cut off.  The hypothesis profile is bounded and
-derandomised, so every run checks the same examples.
+give; over runs of dozens of searches on one scratch state, where the two
+searches' lower bounds may break ties between equal-cost paths
+differently, the search must still return a walk of the lattice at the
+reference's cost.  Its lower bound must be consistent and its via table
+must match an enumeration of layer walks, and routed nets must be trees
+whose usage accounts for every unit of demand.  On any layer stack, a net
+searched in its own region fails exactly when a BFS over the whole die
+finds no connected part that holds an entry of every terminal.  The
+hypothesis profile is bounded and derandomised, so every run checks the
+same examples.
 """
 
 import copy
@@ -64,17 +68,14 @@ def pin_stack(rnd, graph):
 # --- the table-driven search against the frozen reference
 
 
-@settings(BOUNDED, max_examples=300)
-@given(graph=grids(max_side=7, max_layers=5), rnd=st.randoms(use_true_random=False),
-       flat=st.booleans(), stacked=st.booleans(),
-       calls=st.lists(st.tuples(st.integers(0, 45), st.integers(0, 2**16)),
-                      min_size=1, max_size=6))
-def test_astar_matches_frozen_reference(graph, rnd, flat, stacked, calls):
+def search_pairs(graph, rnd, flat, stacked, calls):
+    """Run the live search and the frozen reference side by side, one
+    scratch state each, and yield each pair of results with the search's
+    inputs; the live path is then committed, as the router does."""
     # Random capacity (zero-capacity planar edges included), demand and
     # integer history, or none of them (a first pass: all costs equal, so
     # tie-breaks decide); then a run of searches between random node sets
-    # or pin stacks, sharing one scratch state per implementation, each
-    # committing its path like the router does.
+    # or pin stacks.
     for e in range(graph.num_edges):
         if e < graph.via_base and rnd.random() < 0.2:
             graph.capacity[e] = 0
@@ -96,10 +97,58 @@ def test_astar_matches_frozen_reference(graph, rnd, flat, stacked, calls):
         pres_fac = 1.5 ** k
         got = gr._astar(graph, sources, targets, bounds, pres_fac, new_scratch)
         want = ref._astar(graph, sources, targets, bounds, pres_fac, ref_scratch)
-        assert got == want
+        yield got, want, (sources, targets, bounds, pres_fac)
         if got is not None:
             for e in got[0]:
                 graph.demand[e] += 1
+
+
+@settings(BOUNDED, max_examples=300)
+@given(graph=grids(max_side=7, max_layers=5), rnd=st.randoms(use_true_random=False),
+       flat=st.booleans(), stacked=st.booleans(),
+       calls=st.lists(st.tuples(st.integers(0, 45), st.integers(0, 2**16)),
+                      min_size=1, max_size=6))
+def test_astar_matches_frozen_reference(graph, rnd, flat, stacked, calls):
+    for got, want, _ in search_pairs(graph, rnd, flat, stacked, calls):
+        assert got == want
+
+
+def path_cost(graph, edges, pres_fac):
+    """A path's cost summed in path order, as the searches sum it."""
+    cost = 0.0
+    for e in edges:
+        over = graph.demand[e] + 1 - graph.capacity[e]
+        cost = cost + 1.0 + graph.history[e] + (pres_fac * over if over > 0 else 0.0)
+    return cost
+
+
+@settings(BOUNDED, max_examples=200)
+@given(graph=grids(max_side=7, max_layers=5), rnd=st.randoms(use_true_random=False),
+       flat=st.booleans(), stacked=st.booleans(),
+       calls=st.lists(st.tuples(st.integers(0, 45), st.integers(0, 2**16)),
+                      min_size=24, max_size=48))
+def test_astar_keeps_reference_costs_over_many_searches(graph, rnd, flat, stacked, calls):
+    # One scratch state serves dozens of searches, so nodes closed in one
+    # search are reached again in later ones.  On runs this long the two
+    # searches' different lower bounds can break a tie between equal-cost
+    # paths differently, so each path is checked as a walk of the lattice
+    # whose edges, decoded independently, join its nodes, at the
+    # reference's cost.
+    for got, want, (sources, targets, bounds, pres_fac) in search_pairs(
+            graph, rnd, flat, stacked, calls):
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        edges, nodes = got
+        assert nodes[0] in sources and nodes[-1] in targets
+        assert len(edges) == len(nodes) - 1
+        for e, a, b in zip(edges, nodes, nodes[1:]):
+            assert sorted(graph.edge_endpoints(e)) == sorted((a, b))
+            assert e >= graph.via_base or graph.capacity[e] > 0
+        xlo, xhi, ylo, yhi = bounds
+        assert all(xlo <= u % graph.x <= xhi and ylo <= u // graph.x % graph.y <= yhi
+                   for u in nodes)
+        assert path_cost(graph, edges, pres_fac) == path_cost(graph, want[0], pres_fac)
 
 
 # --- the search's lower bound
@@ -230,21 +279,24 @@ def any_stacks(draw, max_side=6, max_layers=4):
     return gr.RoutingGraph(x, y, 1, 100.0, tuple(dirs), tuple(caps), draw(st.integers(1, 3)))
 
 
-@settings(BOUNDED, max_examples=400)
+@settings(BOUNDED, max_examples=800)
 @given(graph=any_stacks(), rnd=st.randoms(use_true_random=False), nnets=st.integers(1, 6),
-       max_iters=st.integers(0, 3))
+       max_iters=st.integers(0, 3), stacked=st.booleans())
 def test_a_net_fails_exactly_when_a_terminal_is_unreachable_on_the_die(graph, rnd, nnets,
-                                                                       max_iters):
+                                                                       max_iters, stacked):
     # Each net is searched inside its terminals' box widened by BBOX_MARGIN
-    # only, and a failed search is final; the die-wide BFS oracle decides
-    # whether some terminal of the net is cut off from its first terminal.
-    # A terminal's entries are one gcell's run of layers, as a pin's are, so
-    # vias join them.
-    nets = [(f"n{i}", [pin_stack(rnd, graph) for _ in range(rnd.randint(2, 4))])
+    # only, and a failed search is final; a net has a route exactly when
+    # one connected part of the whole die, labelled by the BFS oracle,
+    # holds an entry of every terminal.  A terminal's entries are one
+    # gcell's run of layers, as a pin's are, so that vias join them, or
+    # random nodes, which may lie in different parts.
+    nnodes = graph.x * graph.y * graph.layers
+    nets = [(f"n{i}", [pin_stack(rnd, graph) for _ in range(rnd.randint(2, 4))] if stacked
+             else node_sets(rnd, nnodes, rnd.randint(2, 4)))
             for i in range(nnets)]
+    part = oracle.components(graph)
     unroutable = {nid for nid, entries in nets
-                  if any(oracle.bfs_hops(graph, entries[0], entry) is None
-                         for entry in entries[1:])}
+                  if not set.intersection(*({part[u] for u in entry} for entry in entries))}
     if unroutable:
         with pytest.raises(gr.RoutingError, match="no route exists") as err:
             gr.route_terminal_sets(graph, nets, gr.RouteParams(max_iters=max_iters))
