@@ -169,11 +169,16 @@ def _read_placement(csv_path: Path, design: nl.Netlist, die: pl.Die) -> pl.Place
 
 def _load_placed(run_dir: Path) -> flow.PlacedJob:
     """The PlacedJob that 'place' wrote to ``run_dir``."""
-    meta = _read_json(run_dir / "run_meta.json", {"fabric": str, "die_width": int,
-                                                  "die_height": int, "utilization": float})
-    fabric = flow.load_fabric(meta["fabric"])
+    meta_path = run_dir / "run_meta.json"
+    meta = _read_json(meta_path, {"fabric": str, "die_width": int,
+                                  "die_height": int, "utilization": float})
+    try:
+        fabric = flow.load_fabric(meta["fabric"])
+        die = pl.Die(meta["die_width"], meta["die_height"], fabric.site_dim_nm,
+                     meta["utilization"])
+    except ValueError as exc:
+        raise flow.JobError(f"{meta_path}: {exc}") from exc
     design = fab.bind_masters(flow.read_netlist(run_dir / "netlist.net"), fabric)
-    die = pl.Die(meta["die_width"], meta["die_height"], fabric.site_dim_nm, meta["utilization"])
     placement = _read_placement(run_dir / "placement.csv", design, die)
     return flow.PlacedJob(fabric, design, die, placement, meta)
 

@@ -126,10 +126,6 @@ class FabricSpec:
             raise FabricConfigError("supply_voltage and site_dim_nm must be finite and positive")
 
     @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
     def pin_access_layers(self) -> int:
         """N: the number of layers carrying pin accesses."""
         return len(self.access_layer_ids)
@@ -237,26 +233,23 @@ def _site_order(width: int, height: int) -> list[tuple[int, int]]:
 
 
 def make_cell_master(
-    fabric: str | FabricKind | FabricSpec,
+    fabric: FabricSpec,
     pin_spec: list[tuple[str, str, int]],
     name: str = "cell",
 ) -> CellMaster:
     """Build a cell abstraction with technology-appropriate pin accesses.
 
-    ``fabric`` is a FabricSpec or a kind, which stands for its builtin spec;
-    the pins use that spec's access layers.  ``pin_spec`` lists (pin_name,
+    The pins use ``fabric``'s access layers.  ``pin_spec`` lists (pin_name,
     direction, access_count).  Planar and monolithic-3D masters put every
     access on the single access layer (M1 by default), spread across the
     cell.  S3DC masters keep each pin's accesses on one nanowire position and
     distribute them vertically across the fabric's pin-access layers.
     """
-    if not isinstance(fabric, FabricSpec):
-        fabric = builtin_fabric(fabric)
     kind = fabric.kind
     width, height = _CELL_SITES[kind]
     order = _site_order(width, height)
     nsites = len(order)
-    npins = max(1, len(pin_spec))
+    npins = len(pin_spec)
     access_ids = fabric.access_layer_ids
 
     pins = []

@@ -76,7 +76,8 @@ class RoutingGraph:
     edges.  ``blocks[layer]`` is the ``(rows, cols)`` shape of a layer's
     planar edges, the edge from (gx, gy) toward +x on an 'h' layer or +y on
     a 'v' layer being ``pbase[layer] + gy * cols + gx``; ``via_block`` is
-    the (layer, y, x) shape of the via edges after them.
+    the (layer, y, x) shape of the via edges after them, the via from node
+    u up to node u + X*Y being ``via_base + u``.
     """
 
     __slots__ = (
@@ -129,34 +130,9 @@ class RoutingGraph:
         """Edge from (gx,gy) toward +x on 'h' layers, +y on 'v' layers."""
         return self.pbase[layer0] + gy * self.blocks[layer0][1] + gx
 
-    def via_edge(self, layer0: int, gx: int, gy: int) -> int:
-        """Edge between layer0 and layer0+1 at (gx, gy)."""
-        return self.via_base + (layer0 * self.y + gy) * self.x + gx
-
     def planar_layer(self, eid: int) -> int:
         """The 0-based layer of planar edge ``eid``."""
         return bisect.bisect_right(self.pbase, eid) - 1
-
-    def edge_info(self, eid: int) -> tuple[str, int, int, int]:
-        """Decode an edge id to (kind, layer0, gx, gy); kind is 'h'/'v'/'via'."""
-        if not 0 <= eid < self.num_edges:
-            raise ValueError(f"bad edge id {eid}")
-        if eid >= self.via_base:
-            li, rel = divmod(eid - self.via_base, self.x * self.y)
-            gy, gx = divmod(rel, self.x)
-            return "via", li, gx, gy
-        li = self.planar_layer(eid)
-        gy, gx = divmod(eid - self.pbase[li], self.blocks[li][1])
-        return self.layer_dirs[li], li, gx, gy
-
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        kind, li, gx, gy = self.edge_info(eid)
-        a = self.node_id(gx, gy, li)
-        if kind == "h":
-            return a, self.node_id(gx + 1, gy, li)
-        if kind == "v":
-            return a, self.node_id(gx, gy + 1, li)
-        return a, self.node_id(gx, gy, li + 1)
 
     @property
     def gcell_um(self) -> float:

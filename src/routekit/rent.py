@@ -45,6 +45,8 @@ class PinDensityInput:
     pin_access_layers: int  # N
 
     def __post_init__(self):
+        if not math.isfinite(self.die_area_um2):
+            raise ValueError(f"die area must be finite, got {self.die_area_um2}")
         if self.die_area_um2 <= 0:
             raise ValueError("die area must be positive")
         if self.pin_access_layers < 1:
@@ -72,8 +74,6 @@ def effective_pin_density(inp: PinDensityInput) -> float:
 def cell_density(e: float, params: RentParams) -> float:
     if e < 0:
         raise ValueError("pin density cannot be negative")
-    if e == 0:
-        return 0.0
     return (e / params.a) ** (1.0 / params.r)
 
 

@@ -481,6 +481,20 @@ def test_analyze_rejects_run_meta_values_naming_the_file(tmp_path, capsys, edit,
     assert capsys.readouterr().err == f"routekit: error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"utilization": 0}, "utilization must lie in (0, 1]"),
+    ({"die_width": 0}, "die must be at least 1x1 sites"),
+    ({"fabric": "bogus"}, "unknown fabric kind: 'bogus'"),
+])
+def test_route_rejects_run_meta_values_naming_the_file(tmp_path, capsys, edit, message):
+    out = _placed_dir(tmp_path)
+    path = out / "run_meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    capsys.readouterr()
+    assert run_cli("route", out) == 2
+    assert capsys.readouterr().err == f"routekit: error: {path}: {message}\n"
+
+
 def test_compare_rejects_a_non_finite_report_value_naming_the_file(tmp_path, capsys):
     row = {"label": "2d", "cell_count": 64, "clock_freq_ghz": 1.0, "total_wirelength_mm": 1.0,
            "wire_power_mw": 1.0, "pin_power_mw": 1.0, "internal_power_mw": 1.0,

@@ -11,7 +11,7 @@ def test_builtin_2d_defaults():
     spec = fab.builtin_fabric("2d")
     assert spec.pin_access_layers == 1
     assert spec.footprint_scale == 1.0
-    assert spec.num_layers == 8
+    assert len(spec.layers) == 8
     assert not spec.via_stack_exclusive
 
 
@@ -19,14 +19,14 @@ def test_builtin_tmi_defaults():
     spec = fab.builtin_fabric("tmi")
     assert spec.pin_access_layers == 1
     assert spec.footprint_scale == pytest.approx(0.5)
-    assert spec.num_layers == 8
+    assert len(spec.layers) == 8
 
 
 def test_builtin_s3dc_defaults():
     spec = fab.builtin_fabric("s3dc")
     assert spec.pin_access_layers == 5
     assert spec.via_stack_exclusive
-    assert spec.num_layers == 13
+    assert len(spec.layers) == 13
     assert spec.access_layer_ids == (2, 3, 4, 5, 6)
     # footprint lands in the published 0.10-0.11 band and keeps
     # footprint * access layers above the monolithic-3D footprint
@@ -74,7 +74,7 @@ def test_kind_aliases():
 def test_s3dc_nand3_access_layers():
     counts = fab.NAND3_ACCESS_COUNTS[fab.FabricKind.S3DC]
     master = fab.make_cell_master(
-        "s3dc",
+        fab.builtin_fabric("s3dc"),
         [("A", "input", counts["A"]), ("B", "input", counts["B"]),
          ("C", "input", counts["C"]), ("OUT", "output", counts["OUT"])],
         name="NAND3",
@@ -92,7 +92,7 @@ def test_s3dc_nand3_access_layers():
 def test_tmi_nand3_pin_b_two_accesses_on_m1():
     counts = fab.NAND3_ACCESS_COUNTS[fab.FabricKind.TMI]
     master = fab.make_cell_master(
-        "tmi",
+        fab.builtin_fabric("tmi"),
         [("A", "input", counts["A"]), ("B", "input", counts["B"]),
          ("C", "input", counts["C"]), ("OUT", "output", counts["OUT"])],
         name="NAND3",
@@ -105,13 +105,13 @@ def test_tmi_nand3_pin_b_two_accesses_on_m1():
 def test_planar_masters_keep_every_access_on_m1():
     counts = fab.NAND3_ACCESS_COUNTS[fab.FabricKind.PLANAR_2D]
     master = fab.make_cell_master(
-        "2d", [(p, "input", c) for p, c in counts.items()], name="NAND3"
+        fab.builtin_fabric("2d"), [(p, "input", c) for p, c in counts.items()], name="NAND3"
     )
     assert all(layer == 1 for pin in master.pins for layer, _, _ in pin.accesses)
 
 
 def test_single_pin_master_access_at_center():
-    master = fab.make_cell_master("2d", [("P", "input", 1)], name="tap")
+    master = fab.make_cell_master(fab.builtin_fabric("2d"), [("P", "input", 1)], name="tap")
     (layer, x, y) = master.pin("P").accesses[0]
     assert layer == 1
     # even dimensions have no exact center site; the access sits on one of
@@ -121,9 +121,9 @@ def test_single_pin_master_access_at_center():
 
 
 def test_footprints_track_technology():
-    assert fab.make_cell_master("2d", [("P", "input", 1)]).area_sites == 16
-    assert fab.make_cell_master("tmi", [("P", "input", 1)]).area_sites == 8
-    assert fab.make_cell_master("s3dc", [("P", "input", 1)]).area_sites == 9
+    for kind, sites in (("2d", 16), ("tmi", 8), ("s3dc", 9)):
+        master = fab.make_cell_master(fab.builtin_fabric(kind), [("P", "input", 1)])
+        assert master.area_sites == sites
 
 
 def test_master_rejects_access_outside_cell():
@@ -169,7 +169,7 @@ def test_load_overrides_one_layer_capacity():
 
 def test_load_appends_contiguous_layer():
     spec = fab.load_fabric("kind 2d\nlayer 9 dir h cap 6\n")
-    assert spec.num_layers == 9
+    assert len(spec.layers) == 9
     assert spec.layers[8].capacity == 6
 
 

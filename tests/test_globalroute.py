@@ -45,17 +45,17 @@ def test_planar_via_capacity_default():
 
 
 def test_edge_info_roundtrip():
+    # the router's edge ids are the oracle's, which it derives from the
+    # documented layout alone, and they number the edges 0..num_edges-1
     graph = small_graph(x=5, y=3, layers=3, dirs=("h", "v", "h"), caps=(2, 2, 2))
-    for e in range(graph.num_edges):
-        kind, li, gx, gy = graph.edge_info(e)
-        if kind == "h":
-            assert graph.planar_edge(li, gx, gy) == e
-        elif kind == "v":
-            assert graph.planar_edge(li, gx, gy) == e
+    ids = []
+    for kind, li, gx, gy, eid in oracle.edge_sites(graph):
+        if kind == "via":
+            assert graph.via_base + graph.node_id(gx, gy, li) == eid
         else:
-            assert graph.via_edge(li, gx, gy) == e
-        a, b = graph.edge_endpoints(e)
-        assert 0 <= a < b < graph.x * graph.y * graph.layers
+            assert graph.planar_edge(li, gx, gy) == eid
+        ids.append(eid)
+    assert sorted(ids) == list(range(graph.num_edges))
 
 
 # --- terminal derivation
@@ -70,7 +70,7 @@ def nand3_design(kind):
     # rebuild masters with the published NAND3 access counts
     pin_dirs = {"A": "input", "B": "input", "C": "input", "OUT": "output"}
     bound.masters["NAND3"] = fab.make_cell_master(
-        kind, [(p, pin_dirs[p], c) for p, c in counts.items()], name="NAND3"
+        fabric, [(p, pin_dirs[p], c) for p, c in counts.items()], name="NAND3"
     )
     return bound, fabric
 
@@ -189,7 +189,7 @@ def test_route_tree_spans_all_terminals():
     nodes = set()
     adj = {}
     for e in routes[0].edges:
-        a, b = graph.edge_endpoints(e)
+        a, b = oracle.edge_endpoints(graph, e)
         nodes.update((a, b))
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
@@ -238,8 +238,8 @@ def test_route_demand_conservation():
     for li in range(graph.layers):
         rows = gr.demand_resource_ratios(cmap)
         assert rows[li].demand == sum(
-            graph.demand[e] for e in range(graph.num_edges)
-            if e < graph.via_base and graph.edge_info(e)[1] == li
+            graph.demand[e] for kind, layer0, _, _, e in oracle.edge_sites(graph)
+            if kind != "via" and layer0 == li
         )
 
 
@@ -343,7 +343,7 @@ def test_routed_netlist_trees_are_valid():
         nodes = set()
         adj = {}
         for e in edges:
-            a, b = graph.edge_endpoints(e)
+            a, b = oracle.edge_endpoints(graph, e)
             nodes.update((a, b))
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
@@ -515,13 +515,6 @@ def test_routing_graph_rejects_layer_lists_of_wrong_length():
 def test_routing_graph_rejects_an_empty_lattice_and_a_closed_via(x, y, dirs, via_cap, message):
     with pytest.raises(ValueError, match=message):
         gr.RoutingGraph(x, y, 1, 100.0, dirs, (1,) * len(dirs), via_cap)
-
-
-def test_edge_info_rejects_ids_outside_the_lattice():
-    graph = small_graph()
-    for eid in (-1, graph.num_edges):
-        with pytest.raises(ValueError, match=f"bad edge id {eid}"):
-            graph.edge_info(eid)
 
 
 @pytest.mark.parametrize("entries", [[], [[0], []]], ids=["no-terminals", "empty-terminal"])

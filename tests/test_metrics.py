@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import routing_oracles as oracle
 from conftest import tiny_netlist
 from routekit import fabric as fab
 from routekit import globalroute as gr
@@ -36,7 +37,7 @@ def test_wirelength_empty():
 
 def test_wirelength_vias_default_zero_length():
     graph = graph_1um_gcells()
-    routes = [gr.NetRoute("n0", (graph.via_edge(0, 0, 0),))]
+    routes = [gr.NetRoute("n0", (oracle.via_id(graph, 0, 0, 0),))]
     assert metrics.total_wirelength_mm(routes, graph) == 0.0
 
 

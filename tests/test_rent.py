@@ -42,6 +42,10 @@ def test_pin_density_input_rejects_bad_values():
         rent.PinDensityInput(10, 1.0, 0)
     with pytest.raises(ValueError):
         rent.PinDensityInput(-1, 1.0, 1)
+    # a die area of nan gave nan densities and inf gave zeros
+    for area in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"die area must be finite, got {area}"):
+            rent.PinDensityInput(10, area, 1)
 
 
 def test_cell_density_unity_at_average_pins():

@@ -1,7 +1,7 @@
 """Property tests for the router and its lattice, on random small grids.
 
-Edge ids, the congestion map and the wire metrics must agree on where every
-edge of the lattice lies.  The table-driven A* search and the overflow bookkeeping of the reroute loop
+Edge ids, the congestion map, its CSV rows and the wire metrics must agree
+on where every edge of the lattice lies, by the oracle's own id arithmetic.  The table-driven A* search and the overflow bookkeeping of the reroute loop
 must give exactly what the frozen references in ``router_reference.py``
 give; over runs of dozens of searches on one scratch state, where the two
 searches' lower bounds may break ties between equal-cost paths
@@ -16,6 +16,7 @@ same examples.
 """
 
 import copy
+import math
 
 import pytest
 import router_reference as ref
@@ -143,7 +144,7 @@ def test_astar_keeps_reference_costs_over_many_searches(graph, rnd, flat, stacke
         assert nodes[0] in sources and nodes[-1] in targets
         assert len(edges) == len(nodes) - 1
         for e, a, b in zip(edges, nodes, nodes[1:]):
-            assert sorted(graph.edge_endpoints(e)) == sorted((a, b))
+            assert sorted(oracle.edge_endpoints(graph, e)) == sorted((a, b))
             assert e >= graph.via_base or graph.capacity[e] > 0
         xlo, xhi, ylo, yhi = bounds
         assert all(xlo <= u % graph.x <= xhi and ylo <= u // graph.x % graph.y <= yhi
@@ -195,7 +196,7 @@ def test_search_bound_is_consistent_and_zero_on_targets(graph, rnd, stacked):
     h = search_bound(graph, targets)
     assert all(h[t] == 0 for t in targets)
     for e in range(graph.num_edges):
-        a, b = graph.edge_endpoints(e)
+        a, b = oracle.edge_endpoints(graph, e)
         assert h[a] <= 1 + h[b] and h[b] <= 1 + h[a]
     for u in rnd.sample(range(nnodes), min(8, nnodes)):
         hops = oracle.bfs_hops(graph, [u], targets)
@@ -210,7 +211,7 @@ def route_tree_nodes(graph, edges):
     assert len(set(edges)) == len(edges)
     adj: dict[int, list[int]] = {}
     for e in edges:
-        a, b = graph.edge_endpoints(e)
+        a, b = oracle.edge_endpoints(graph, e)
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     assert len(edges) == len(adj) - 1
@@ -314,23 +315,21 @@ def test_a_net_fails_exactly_when_a_terminal_is_unreachable_on_the_die(graph, rn
 @settings(BOUNDED, max_examples=200)
 @given(graph=grids(), data=st.data())
 def test_lattice_edge_ids_map_and_metrics_agree(graph, data):
-    nnodes = graph.x * graph.y * graph.layers
-    for e in range(graph.num_edges):
-        kind, li, gx, gy = graph.edge_info(e)
+    # Each edge's (kind, layer, gx, gy), from the oracle's own id arithmetic.
+    site = {}
+    for kind, li, gx, gy, e in oracle.edge_sites(graph):
         if kind == "via":
-            assert li + 1 < graph.layers and gx < graph.x and gy < graph.y
-            assert graph.via_edge(li, gx, gy) == e
+            assert graph.via_base + graph.node_id(gx, gy, li) == e
         else:
-            assert kind == graph.layer_dirs[li]
-            assert gx + (kind == "h") < graph.x and gy + (kind == "v") < graph.y
             assert graph.planar_edge(li, gx, gy) == e
-        assert 0 <= graph.node_id(gx, gy, li) < nnodes
+        assert e not in site
+        site[e] = kind, li, gx, gy
         graph.demand[e] = e + 1
+    assert sorted(site) == list(range(graph.num_edges))
 
     cmap = gr.build_congestion_map(graph)
     assert sum(d.size for d in cmap.layer_demand) + cmap.via_demand.size == graph.num_edges
-    for e in range(graph.num_edges):
-        kind, li, gx, gy = graph.edge_info(e)
+    for e, (kind, li, gx, gy) in site.items():
         if kind == "via":
             dem, cap = cmap.via_demand[li], cmap.via_capacity[li]
         else:
@@ -353,7 +352,7 @@ def test_lattice_edge_ids_map_and_metrics_agree(graph, data):
     cap_ff = 0.0
     for route in routes:
         for e in route.edges:
-            kind, li, _, _ = graph.edge_info(e)
+            kind, li, _, _ = site[e]
             if kind != "via":
                 planar += 1
                 cap_ff += graph.gcell_um * caps[li]
@@ -362,3 +361,21 @@ def test_lattice_edge_ids_map_and_metrics_agree(graph, data):
     expected = power.switching_activity * power.clock_freq_ghz * v * v * cap_ff * 1e-3
     assert metrics.wire_power_mw(routes, graph, fabric, power) == expected
     assert metrics.total_wirelength_mm(routes, graph) == planar * graph.gcell_um / 1000.0
+
+
+@settings(BOUNDED, max_examples=200)
+@given(graph=any_stacks(), rnd=st.randoms(use_true_random=False))
+def test_congestion_csv_rows_match_a_per_row_formatter(graph, rnd):
+    # congestion_csv formats each (demand, capacity) pair's row tail once;
+    # on any stack, zero-capacity layers included, every row must read as
+    # if formatted on its own from the edge the oracle's ids name
+    graph.demand[:] = [rnd.choice([0, 0, 1, 2, 3, 5]) for _ in graph.demand]
+    cmap = gr.build_congestion_map(graph)
+    rows = {layer: ["layer,x,y,dir,demand,capacity,ratio"]
+            for layer in range(1, graph.layers + 1)}
+    for kind, li, gx, gy, e in oracle.edge_sites(graph):
+        d, c = graph.demand[e], graph.capacity[e]
+        r = 0.0 if d == 0 else d / c if c else math.inf
+        rows[li + 1].append(f"{li + 1},{gx},{gy},{kind},{d},{c},{r:.6g}")
+    for layer, lines in rows.items():
+        assert gr.congestion_csv(cmap, layer) == "\n".join(lines) + "\n"
