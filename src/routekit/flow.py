@@ -33,7 +33,8 @@ def base_type(hint) -> type:
 
 def checked(name: str, value, hint):
     """``value`` if it has type ``hint`` (``T`` or ``T | None``), else JobError.
-    An int passes for a float and is returned as one; a bool is no number."""
+    An int passes for a float and is returned as one, unless it is too large
+    for one; a bool is no number."""
     kind = base_type(hint)
     nullable = type(None) in typing.get_args(hint)
     if value is None and nullable:
@@ -41,7 +42,10 @@ def checked(name: str, value, hint):
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         expected = f"null or {kind.__name__}" if nullable else kind.__name__
         raise JobError(f"key {name!r} must be {expected}, got {value!r}")
-    return float(value) if kind is float else value
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise JobError(f"key {name!r} is too large for a float") from None
 
 
 # The options whose range a later stage checks, each with that stage's check,

@@ -7,8 +7,9 @@ demand law is fixed at 1, so only demand ratios between designs are
 meaningful; ``compare_demand`` normalizes against a chosen baseline.
 
 ``fit_rent_exponent`` extracts r from an existing netlist by recursive
-min-cut bipartitioning and a log-log least-squares fit of external-net
-counts against block sizes.
+bisection, each block cut at the median of the placer's quadratic ordering
+of its cells, and a log-log least-squares fit of external-net counts
+against block sizes.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    import networkx as nx
+from . import placement as pl
 
 
 @dataclass(frozen=True)
@@ -147,30 +146,6 @@ class RentFit:
     levels: tuple[tuple[float, float], ...]  # (mean block size, mean external nets)
 
 
-def _clique_graph(netlist) -> tuple[nx.Graph, list[list[int]]]:
-    import networkx as nx
-
-    index = {c.id: i for i, c in enumerate(netlist.cells)}
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(netlist.cells)))
-    net_members: list[list[int]] = []
-    for net in netlist.nets:
-        members = sorted({index[cid] for cid, _ in net.terminals})
-        net_members.append(members)
-        k = len(members)
-        if k < 2:
-            continue
-        w = 1.0 / (k - 1)
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = members[i], members[j]
-                if graph.has_edge(a, b):
-                    graph[a][b]["weight"] += w
-                else:
-                    graph.add_edge(a, b, weight=w)
-    return graph, net_members
-
-
 def _external_counts(net_members: list[list[int]], labels: list[int], nblocks: int) -> list[int]:
     ext = [0] * nblocks
     for members in net_members:
@@ -184,42 +159,67 @@ def _external_counts(net_members: list[list[int]], labels: list[int], nblocks: i
 MIN_BLOCK = 32  # bisection stops before a block would drop below this many cells
 
 
+def _bisect(nets: list[list[int]], n: int, rng: random.Random) -> list[int]:
+    """The side, 0 or 1, of each of cells 0..n-1 in a low-cut split of the
+    nets ``nets`` (each of at least two distinct cells) with ``n // 2`` cells
+    on side 0.  Each of the placer's ANALYTIC_ROUNDS anchored solves on the
+    clique model is split at its median, and anchors the next round with a
+    weight ANCHOR_GROWTH times larger; the first anchor is a random split.
+    The round that cuts the fewest nets wins, the first on ties."""
+    # the clique model reads each terminal's cell only
+    model = pl._clique_model([[(c, 0, 0) for c in net] for net in nets], n)
+    side = np.zeros(n)
+    side[rng.sample(range(n), n - n // 2)] = 1
+    best, best_cut = [], math.inf
+    alpha = pl.ANCHOR_WEIGHT
+    for _ in range(pl.ANALYTIC_ROUNDS):
+        x = pl._anchored_solve(model, alpha, side)
+        side = np.ones(n)
+        side[np.argsort(x, kind="stable")[:n // 2]] = 0
+        labels = side.astype(int).tolist()
+        cut = _external_counts(nets, labels, 2)[0]
+        if cut < best_cut:
+            best, best_cut = labels, cut
+        alpha *= pl.ANCHOR_GROWTH
+    return best
+
+
 def fit_rent_exponent(netlist, seed: int = 0) -> RentFit:
     """Measure the Rent exponent of a netlist.
 
-    Blocks are split recursively with Kernighan-Lin min-cut bisection (10
-    passes from one seeded start) on the clique-expanded connectivity graph.
-    At each level the mean block size G and mean count of boundary-crossing
-    nets E are recorded, and r is the slope of the least-squares line
-    through (log G, log E).  Deterministic for a fixed seed.
+    Blocks are split recursively in halves by ``_bisect``: the quadratic
+    ordering of Hall (Management Science, 1970) on the clique model of each
+    net's part inside the block, solved as the placer's analytic start
+    solves it, and cut at its median.  At each level the mean block size G
+    and mean count of boundary-crossing nets E are recorded, and r is the
+    slope of the least-squares line through (log G, log E).  Deterministic
+    for a fixed seed.
     """
-    # Imported here, so that the CLI, which never fits, starts without it.
-    import networkx as nx
-
     n = len(netlist.cells)
     if n < 4 * MIN_BLOCK:
         raise ValueError(f"netlist too small to fit (need >= {4 * MIN_BLOCK} cells)")
-    graph, net_members = _clique_graph(netlist)
+    index = {c.id: i for i, c in enumerate(netlist.cells)}
+    net_members = [sorted({index[cid] for cid, _ in net.terminals}) for net in netlist.nets]
     rng = random.Random(seed)
 
     blocks: list[list[int]] = [list(range(n))]
+    labels, pos = [0] * n, list(range(n))  # each cell's block and index in it
     points: list[tuple[float, float]] = []
-    while True:
-        if min(len(b) for b in blocks) < 2 * MIN_BLOCK:
-            break
+    while min(len(b) for b in blocks) >= 2 * MIN_BLOCK:
+        parts: list[list[list[int]]] = [[] for _ in blocks]
+        for members in net_members:
+            for b in {labels[c] for c in members}:
+                part = [pos[c] for c in members if labels[c] == b]
+                if len(part) > 1:
+                    parts[b].append(part)
         nxt: list[list[int]] = []
-        for block in blocks:
-            sub = graph.subgraph(block)
-            half_a, half_b = nx.community.kernighan_lin_bisection(
-                sub, max_iter=10, weight="weight", seed=rng.randrange(2**32)
-            )
-            nxt.append(sorted(half_a))
-            nxt.append(sorted(half_b))
+        for block, nets in zip(blocks, parts):
+            side = _bisect(nets, len(block), rng)
+            nxt += [[c for c, s in zip(block, side) if s == half] for half in (0, 1)]
         blocks = nxt
-        labels = [0] * n
         for b, block in enumerate(blocks):
-            for c in block:
-                labels[c] = b
+            for i, c in enumerate(block):
+                labels[c], pos[c] = b, i
         ext = _external_counts(net_members, labels, len(blocks))
         mean_g = n / len(blocks)
         mean_e = sum(ext) / len(blocks)

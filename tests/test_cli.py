@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 import routekit
-from routekit import flow, globalroute as gr, netlist as nl, placement as pl
+from routekit import flow, globalroute as gr, netlist as nl, placement as pl, rent
 from routekit.cli import main
 
 FAST = ["--moves-per-temp", "500", "--max-temps", "10"]
@@ -322,6 +322,15 @@ def test_config_value_out_of_range_names_the_file(tmp_path, capsys, flags):
         f"routekit: error: {cfg}: key 'gcell': gcell_size must be >= 1, got 0\n")
 
 
+def test_config_rejects_a_value_too_large_for_a_float(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"utilization": 10**400}))
+    with mock.patch.object(nl, "generate_synthetic", side_effect=AssertionError("a stage ran")):
+        assert run_cli("run", "--config", cfg, "--cells", 200, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"routekit: error: {cfg}: key 'utilization' is too large for a float\n")
+
+
 def test_config_accepts_int_for_float_and_null_for_nullable(tmp_path):
     net = gen_netlist(tmp_path / "n.net")
     cfg = tmp_path / "run.json"
@@ -471,6 +480,7 @@ def test_malformed_report_json_exits_2_naming_file_and_key(tmp_path, capsys, rep
     ({"die_area_um2": float("inf")}, "key 'die_area_um2' must be finite, got inf"),
     ({"die_area_um2": 0}, "die area must be positive"),
     ({"total_pins": -5}, "pin count cannot be negative"),
+    ({"die_area_um2": 10**400}, "key 'die_area_um2' is too large for a float"),
 ])
 def test_analyze_rejects_run_meta_values_naming_the_file(tmp_path, capsys, edit, message):
     out = _placed_dir(tmp_path)
@@ -485,6 +495,7 @@ def test_analyze_rejects_run_meta_values_naming_the_file(tmp_path, capsys, edit,
     ({"utilization": 0}, "utilization must lie in (0, 1]"),
     ({"die_width": 0}, "die must be at least 1x1 sites"),
     ({"fabric": "bogus"}, "unknown fabric kind: 'bogus'"),
+    ({"utilization": 10**400}, "key 'utilization' is too large for a float"),
 ])
 def test_route_rejects_run_meta_values_naming_the_file(tmp_path, capsys, edit, message):
     out = _placed_dir(tmp_path)
@@ -504,6 +515,17 @@ def test_compare_rejects_a_non_finite_report_value_naming_the_file(tmp_path, cap
     assert run_cli("compare", tmp_path) == 2
     assert capsys.readouterr().err == (
         f"routekit: error: {path}: rows[0]: key 'footprint_um2' must be finite, got nan\n")
+
+
+def test_compare_rejects_a_report_value_too_large_for_a_float(tmp_path, capsys):
+    row = {"label": "2d", "cell_count": 64, "clock_freq_ghz": 1.0, "total_wirelength_mm": 1.0,
+           "wire_power_mw": 1.0, "pin_power_mw": 1.0, "internal_power_mw": 1.0,
+           "footprint_um2": 10**400}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"rows": [row]}))
+    assert run_cli("compare", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"routekit: error: {path}: rows[0]: key 'footprint_um2' is too large for a float\n")
 
 
 def test_compare_without_rows_exits_2(tmp_path, capsys):
@@ -737,12 +759,15 @@ def test_every_stage_parameter_is_a_run_option(params):
     assert {f.name for f in dataclasses.fields(params)} <= options
 
 
-def test_cli_starts_without_networkx():
-    # Only rent.fit_rent_exponent needs networkx, and no command calls it.
+def test_rent_fit_runs_without_networkx():
+    # A None entry in sys.modules makes any import of networkx fail.
     src = str(Path(routekit.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import routekit.cli; "
-            "print('networkx' in sys.modules)")
+    code = (f"import sys; sys.modules['networkx'] = None; sys.path.insert(0, {src!r}); "
+            "from routekit import netlist as nl, rent; "
+            "d = nl.generate_synthetic(nl.SynthesisParams(num_cells=4 * rent.MIN_BLOCK)); "
+            "print(rent.fit_rent_exponent(d).exponent)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    design = nl.generate_synthetic(nl.SynthesisParams(num_cells=4 * rent.MIN_BLOCK))
+    assert float(proc.stdout) == rent.fit_rent_exponent(design).exponent

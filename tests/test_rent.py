@@ -199,3 +199,17 @@ def test_fit_rejects_small_netlists():
     d = nl.generate_synthetic(nl.SynthesisParams(num_cells=64, seed=0))
     with pytest.raises(ValueError, match="too small"):
         rent.fit_rent_exponent(d)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fit_tells_exponents_apart(seed):
+    # Criterion 9 checks r = 0.75 alone; a fit that returns about 0.75 for
+    # every netlist would pass it.  Four 4096-cell fits, about 7 s in all.
+    def fit(r):
+        design = nl.generate_synthetic(nl.SynthesisParams(num_cells=4096, rent_exponent=r,
+                                                          seed=seed))
+        return rent.fit_rent_exponent(design, seed=0).exponent
+
+    low, high = fit(0.6), fit(0.9)
+    assert low < 0.70 and high > 0.77, (low, high)

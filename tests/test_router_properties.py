@@ -110,6 +110,12 @@ def search_pairs(graph, rnd, flat, stacked, calls):
        calls=st.lists(st.tuples(st.integers(0, 45), st.integers(0, 2**16)),
                       min_size=1, max_size=6))
 def test_astar_matches_frozen_reference(graph, rnd, flat, stacked, calls):
+    # Exact path equality holds over these runs of 1 to 6 searches per
+    # scratch state only.  The live search's lower bound is not the
+    # reference's, so on longer runs the two can break a tie between
+    # equal-cost paths differently;
+    # test_astar_keeps_reference_costs_over_many_searches checks those runs
+    # for equal cost instead.
     for got, want, _ in search_pairs(graph, rnd, flat, stacked, calls):
         assert got == want
 
