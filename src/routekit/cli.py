@@ -63,9 +63,10 @@ def _check_keys(where: str, data, hints: dict) -> dict:
 
 def _read_json(path: Path, hints: dict) -> dict:
     """The JSON object in ``path``, checked by ``_check_keys``."""
+    text = flow.read_input(path)
     try:
-        data = json.loads(flow.read_input(path))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:
         raise flow.JobError(f"{path}: invalid JSON ({exc})") from exc
     return _check_keys(str(path), data, hints)
 

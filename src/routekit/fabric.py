@@ -48,13 +48,6 @@ _ACCESS_COUNT = {
     FabricKind.S3DC: {"input": 5, "output": 4},
 }
 
-# Measured pin-access counts for a reference NAND3 in each technology.
-NAND3_ACCESS_COUNTS = {
-    FabricKind.TMI: {"A": 3, "B": 2, "C": 3, "OUT": 3},
-    FabricKind.S3DC: {"A": 5, "B": 5, "C": 5, "OUT": 4},
-    FabricKind.PLANAR_2D: {"A": 5, "B": 6, "C": 5, "OUT": 4},
-}
-
 
 class FabricConfigError(ValueError):
     """Raised for malformed fabric config text or inconsistent specs."""

@@ -51,6 +51,7 @@ def checked(name: str, value, hint):
 # The options whose range a later stage checks, each with that stage's check,
 # so that a value out of range fails before the first stage runs.
 RANGE_CHECKS = {
+    "cells": lambda v: v is None or nl.SynthesisParams(v),
     "rent": lambda v: nl.SynthesisParams(nl.MIN_GENERATED_CELLS, rent_exponent=v),
     "pins": lambda v: nl.SynthesisParams(nl.MIN_GENERATED_CELLS, avg_pins_per_cell=v),
     "utilization": lambda v: pl.Die(1, 1, 1.0, v),

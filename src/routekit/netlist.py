@@ -31,6 +31,7 @@ from .fabric import CellMaster, PinDef
 OUTPUT_PIN_NAMES = {"o", "out", "q", "y", "z"}
 MAX_NET_ARITY = 16
 MIN_GENERATED_CELLS = 8
+MAX_GENERATED_CELLS = 2**20
 
 
 class NetlistParseError(ValueError):
@@ -233,6 +234,8 @@ class SynthesisParams:
             raise ValueError(
                 f"num_cells must be >= {MIN_GENERATED_CELLS} for meaningful Rent statistics"
             )
+        if self.num_cells > MAX_GENERATED_CELLS:
+            raise ValueError(f"num_cells must be <= {MAX_GENERATED_CELLS}")
         if not 0.5 < self.rent_exponent < 1.0:
             raise ValueError("rent_exponent must lie in (0.5, 1.0)")
         if not math.isfinite(self.avg_pins_per_cell):

@@ -193,11 +193,11 @@ def fit_rent_exponent(netlist, seed: int = 0) -> RentFit:
     solves it, and cut at its median.  At each level the mean block size G
     and mean count of boundary-crossing nets E are recorded, and r is the
     slope of the least-squares line through (log G, log E).  Deterministic
-    for a fixed seed.
+    for a fixed seed.  The netlist needs four bisection levels at least.
     """
     n = len(netlist.cells)
-    if n < 4 * MIN_BLOCK:
-        raise ValueError(f"netlist too small to fit (need >= {4 * MIN_BLOCK} cells)")
+    if n < 16 * MIN_BLOCK:
+        raise ValueError(f"netlist too small to fit (need >= {16 * MIN_BLOCK} cells)")
     index = {c.id: i for i, c in enumerate(netlist.cells)}
     net_members = [sorted({index[cid] for cid, _ in net.terminals}) for net in netlist.nets]
     rng = random.Random(seed)

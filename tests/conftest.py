@@ -1,7 +1,14 @@
 import pytest
 
 from routekit import netlist as nl
-from routekit.fabric import CellMaster, PinDef
+from routekit.fabric import CellMaster, FabricKind, PinDef
+
+# Measured pin-access counts for a reference NAND3 in each technology.
+NAND3_ACCESS_COUNTS = {
+    FabricKind.TMI: {"A": 3, "B": 2, "C": 3, "OUT": 3},
+    FabricKind.S3DC: {"A": 5, "B": 5, "C": 5, "OUT": 4},
+    FabricKind.PLANAR_2D: {"A": 5, "B": 6, "C": 5, "OUT": 4},
+}
 
 
 def unit_master(name: str = "u", npins: int = 4) -> CellMaster:

@@ -331,6 +331,29 @@ def test_config_rejects_a_value_too_large_for_a_float(tmp_path, capsys):
         f"routekit: error: {cfg}: key 'utilization' is too large for a float\n")
 
 
+def test_gen_rejects_a_cell_count_too_large(tmp_path, capsys):
+    assert run_cli("gen", "--cells", 10**400, "-o", tmp_path / "n.net") == 2
+    assert capsys.readouterr().err == (
+        f"routekit: error: key 'cells': num_cells must be <= {nl.MAX_GENERATED_CELLS}\n")
+
+
+def test_config_rejects_a_cell_count_too_large(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cells": 10**400}))
+    with mock.patch.object(nl, "generate_synthetic", side_effect=AssertionError("a stage ran")):
+        assert run_cli("run", "--config", cfg, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"routekit: error: {cfg}: key 'cells': num_cells must be <= {nl.MAX_GENERATED_CELLS}\n")
+
+
+def test_config_with_an_integer_past_the_digit_limit_names_the_file(tmp_path, capsys):
+    # json.loads refuses integers of more than 4300 digits with a ValueError
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"cells": 1' + "0" * 5000 + "}")
+    assert run_cli("run", "--config", cfg, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"routekit: error: {cfg}: invalid JSON (")
+
+
 def test_config_accepts_int_for_float_and_null_for_nullable(tmp_path):
     net = gen_netlist(tmp_path / "n.net")
     cfg = tmp_path / "run.json"
@@ -764,10 +787,10 @@ def test_rent_fit_runs_without_networkx():
     src = str(Path(routekit.__file__).resolve().parents[1])
     code = (f"import sys; sys.modules['networkx'] = None; sys.path.insert(0, {src!r}); "
             "from routekit import netlist as nl, rent; "
-            "d = nl.generate_synthetic(nl.SynthesisParams(num_cells=4 * rent.MIN_BLOCK)); "
+            "d = nl.generate_synthetic(nl.SynthesisParams(num_cells=16 * rent.MIN_BLOCK)); "
             "print(rent.fit_rent_exponent(d).exponent)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    design = nl.generate_synthetic(nl.SynthesisParams(num_cells=4 * rent.MIN_BLOCK))
+    design = nl.generate_synthetic(nl.SynthesisParams(num_cells=16 * rent.MIN_BLOCK))
     assert float(proc.stdout) == rent.fit_rent_exponent(design).exponent

@@ -1,7 +1,10 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import NAND3_ACCESS_COUNTS
 from routekit import fabric as fab
 from routekit import netlist as nl
 from routekit.cli import main
@@ -72,7 +75,7 @@ def test_kind_aliases():
 
 
 def test_s3dc_nand3_access_layers():
-    counts = fab.NAND3_ACCESS_COUNTS[fab.FabricKind.S3DC]
+    counts = NAND3_ACCESS_COUNTS[fab.FabricKind.S3DC]
     master = fab.make_cell_master(
         fab.builtin_fabric("s3dc"),
         [("A", "input", counts["A"]), ("B", "input", counts["B"]),
@@ -90,7 +93,7 @@ def test_s3dc_nand3_access_layers():
 
 
 def test_tmi_nand3_pin_b_two_accesses_on_m1():
-    counts = fab.NAND3_ACCESS_COUNTS[fab.FabricKind.TMI]
+    counts = NAND3_ACCESS_COUNTS[fab.FabricKind.TMI]
     master = fab.make_cell_master(
         fab.builtin_fabric("tmi"),
         [("A", "input", counts["A"]), ("B", "input", counts["B"]),
@@ -103,7 +106,7 @@ def test_tmi_nand3_pin_b_two_accesses_on_m1():
 
 
 def test_planar_masters_keep_every_access_on_m1():
-    counts = fab.NAND3_ACCESS_COUNTS[fab.FabricKind.PLANAR_2D]
+    counts = NAND3_ACCESS_COUNTS[fab.FabricKind.PLANAR_2D]
     master = fab.make_cell_master(
         fab.builtin_fabric("2d"), [(p, "input", c) for p, c in counts.items()], name="NAND3"
     )
@@ -303,3 +306,23 @@ def test_readme_fabric_config_block_loads():
     spec = fab.load_fabric(block)
     assert spec.kind is fab.FabricKind.S3DC
     assert set(spec.cell_energy) == {"NAND3"}
+
+
+def test_readme_python_examples_run():
+    # each README Python example runs as written, in a fresh namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_fabric_and_netlist_import_alone():
+    # the package imports no module of its own, so these two load without numpy
+    src = str(Path(fab.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import routekit.fabric, routekit.netlist; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'routekit')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["routekit", "routekit.fabric", "routekit.netlist"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import routing_oracles as oracle
-from conftest import tiny_netlist
+from conftest import NAND3_ACCESS_COUNTS, tiny_netlist
 from routekit import fabric as fab
 from routekit import globalroute as gr
 from routekit import netlist as nl
@@ -62,7 +62,7 @@ def test_edge_info_roundtrip():
 
 
 def nand3_design(kind):
-    counts = fab.NAND3_ACCESS_COUNTS[fab.normalize_kind(kind)]
+    counts = NAND3_ACCESS_COUNTS[fab.normalize_kind(kind)]
     text = "master NAND3 pins A B C OUT\ncell c1 NAND3\ncell c2 NAND3\nnet n1 c1.OUT c2.A\nnet n2 c1.A c2.B\n"
     d = nl.parse_netlist(text)
     fabric = fab.builtin_fabric(kind)
