@@ -16,6 +16,12 @@ decomposed over a rectilinear MST of their terminal gcells, and each new
 connection may start from any node of the net's partial tree, so shared
 segments cost nothing.
 
+Most searches find a path that costs exactly their lower bound.  So each
+search first walks, on a heap of bare node ids, only the steps that keep
+A*'s f value at the sources' least bound, which A* pops before any other;
+when no target lies among them it runs the full search.  Both give the same
+path and count the same heap pops (see ``_astar``).
+
 Each net is searched only inside its terminals' bounding box widened by
 ``BBOX_MARGIN`` gcells, and a net that finds no route there is an error:
 capacities are uniform per layer and every via's is >= 1, so a path that
@@ -367,7 +373,8 @@ class _Scratch:
 
     ``gen`` counts the searches and ``pops`` their heap pops.  In search
     ``gen`` node v is open when ``stamp[v] == gen``, closed when it is
-    ``-gen`` and unseen otherwise: ``gen`` only grows from 1.
+    ``-gen`` and unseen otherwise: ``gen`` only grows from 1.  ``_astar``'s
+    tier marks a node ``-gen`` as soon as it reaches it.
 
     ``nx``/``ny``/``nz`` give each node's coordinates, ``pplus`` the id of
     its planar edge toward +x ('h' layers) or +y ('v' layers), -1 where its
@@ -377,11 +384,13 @@ class _Scratch:
     (up), so adjacent nodes v and w share the edge ``pplus[min(v, w)]`` on
     one layer and ``via_base + min(v, w)`` across two.  ``via_bound`` is the
     grid's ``_via_bound_table``; ``cuts`` says whether no layer joins the
-    columns (no 'h' capacity) and the rows (no 'v' capacity).
+    columns (no 'h' capacity) and the rows (no 'v' capacity).  ``xrows`` and
+    ``yrows`` memoise ``_heuristic_tables``' per-axis rows by the targets'
+    interval on that axis.
     """
 
     __slots__ = ("g", "stamp", "parent_node", "gen", "pops", "nx", "ny", "nz", "pplus",
-                 "horiz", "via_bound", "cuts")
+                 "horiz", "via_bound", "cuts", "xrows", "yrows")
 
     def __init__(self, graph: RoutingGraph):
         x_dim, y_dim, layers = graph.x, graph.y, graph.layers
@@ -393,15 +402,20 @@ class _Scratch:
         self.pops = 0
 
         self.nx = list(range(x_dim)) * (y_dim * layers)
-        self.ny = [gy for _ in range(layers) for gy in range(y_dim) for _ in range(x_dim)]
+        self.ny = [gy for gy in range(y_dim) for _ in range(x_dim)] * layers
         self.nz = [z for z in range(layers) for _ in range(x_dim * y_dim)]
         self.horiz = [d == "h" for d in graph.layer_dirs]
-        self.pplus = [
-            graph.planar_edge(z, gx, gy) if gx < cols and gy < rows else -1
-            for z, (rows, cols) in enumerate(graph.blocks)
-            for gy in range(y_dim) for gx in range(x_dim)
-        ]
+        # Row gy of a layer's block numbers its ``cols`` edges from
+        # ``pbase + gy * cols``; nodes past the block's last row or column
+        # have no + edge.
+        self.pplus = []
+        for base, (rows, cols) in zip(graph.pbase, graph.blocks):
+            for gy in range(y_dim):
+                row = range(base + gy * cols, base + (gy + 1) * cols) if gy < rows else ()
+                self.pplus += [*row, *[-1] * (x_dim - len(row))]
         self.via_bound = _via_bound_table(graph.layer_dirs)
+        self.xrows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self.yrows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         # An axis of one gcell needs no layer; on a longer one, a layer's
         # first planar edge holds the capacity of all of them.
         self.cuts = tuple(
@@ -411,7 +425,7 @@ class _Scratch:
 
 
 def _heuristic_tables(graph: RoutingGraph, targets: set[int], scratch: _Scratch):
-    """Per-search tables of the A* lower bound toward ``targets``.
+    """Tables of the A* lower bound toward ``targets``.
 
     Returns ``(hx, hy, fx, fy, vb)``, with which a node (x, y, z) has the
     bound ``hx[x] + hy[y] + vb[4 * z + fx[x] + fy[y]]``:
@@ -426,6 +440,9 @@ def _heuristic_tables(graph: RoutingGraph, targets: set[int], scratch: _Scratch)
       the fewest vias that reach that interval through the layer directions
       the path needs.
 
+    The axis rows are built once per targets' interval on their axis and
+    routing call, and kept on ``scratch``.
+
     Every edge costs at least 1 and the bound is 0 on every target.  It is
     consistent: a via step changes the ``vb`` term by at most 1, and a
     planar step changes ``hx`` or ``hy`` by at most 1 and runs on a layer
@@ -439,16 +456,25 @@ def _heuristic_tables(graph: RoutingGraph, targets: set[int], scratch: _Scratch)
     txs = [nx[t] for t in targets]
     tys = [ny[t] for t in targets]
     tzs = [nz[t] for t in targets]
-    txlo, txhi = min(txs), max(txs)
-    tylo, tyhi = min(tys), max(tys)
-    tzlo, tzhi = min(tzs), max(tzs)
-    x_out = graph.x - 1 - txhi
-    y_out = graph.y - 1 - tyhi
-    hx = [*range(txlo, 0, -1), *[0] * (txhi - txlo + 1), *range(1, x_out + 1)]
-    hy = [*range(tylo, 0, -1), *[0] * (tyhi - tylo + 1), *range(1, y_out + 1)]
-    fx = [2] * txlo + [0] * (txhi - txlo + 1) + [2] * x_out
-    fy = [1] * tylo + [0] * (tyhi - tylo + 1) + [1] * y_out
-    return hx, hy, fx, fy, scratch.via_bound[tzlo * graph.layers + tzhi]
+    xkey = min(txs), max(txs)
+    ykey = min(tys), max(tys)
+    xrow = scratch.xrows.get(xkey)
+    if xrow is None:
+        xrow = scratch.xrows[xkey] = _axis_rows(*xkey, graph.x, 2)
+    yrow = scratch.yrows.get(ykey)
+    if yrow is None:
+        yrow = scratch.yrows[ykey] = _axis_rows(*ykey, graph.y, 1)
+    return (xrow[0], yrow[0], xrow[1], yrow[1],
+            scratch.via_bound[min(tzs) * graph.layers + max(tzs)])
+
+
+def _axis_rows(lo: int, hi: int, n: int, flag: int) -> tuple[list[int], list[int]]:
+    """Distance to ``lo..hi`` along an axis of ``n`` gcells, and ``flag``
+    outside that interval, 0 inside."""
+    out = n - 1 - hi
+    inside = hi - lo + 1
+    return ([*range(lo, 0, -1), *[0] * inside, *range(1, out + 1)],
+            [flag] * lo + [0] * inside + [flag] * out)
 
 
 def _astar(graph: RoutingGraph, sources, targets: set[int],
@@ -461,6 +487,147 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
     targets' box plus the vias that the layer directions force.  Ties break
     on ascending node id, i.e. lexicographic (layer, y, x).  Returns
     (edges, nodes) or None.
+
+    It first searches the bound's tight tier and returns what
+    ``_full_search`` returns, with the same ``scratch.gen`` and
+    ``scratch.pops`` counts.  Let F be the least bound among the sources
+    inside ``bounds``.  A step costs exactly 1 when its edge has no history
+    and a free track, and at least 2 otherwise, since history holds whole
+    numbers and the present factor is >= 1; along a step the consistent,
+    integer bound falls by 1 at most.  So the tight nodes, those reached
+    from a source of bound F by steps that cost 1 and lower the bound by 1,
+    get f = F and every other entry f >= F + 1: until the full search pops
+    an entry above F it pops exactly the tight nodes, the least id first,
+    and each keeps as parent the first tight node that relaxed it.  The
+    tier replays that on an int heap of node ids, without g values.  If a
+    target pops, its path is the full search's; if the tier runs out, its
+    nodes are unmarked and the full search runs from the start, its pops
+    alone counted.
+    """
+    x_dim = graph.x
+    xy = x_dim * graph.y
+    top = graph.layers - 1
+    xlo, xhi, ylo, yhi = bounds
+    nx = scratch.nx
+    ny = scratch.ny
+    nz = scratch.nz
+    hx, hy, fx, fy, vb = _heuristic_tables(graph, targets, scratch)
+
+    tier: list[int] = []
+    f_min = 0
+    for s in sources:
+        sx = nx[s]
+        sy = ny[s]
+        if xlo <= sx <= xhi and ylo <= sy <= yhi:
+            h0 = hx[sx] + hy[sy] + vb[4 * nz[s] + fx[sx] + fy[sy]]
+            if not tier or h0 < f_min:
+                f_min = h0
+                tier = [s]
+            elif h0 == f_min:
+                tier.append(s)
+
+    cap = graph.capacity
+    dem = graph.demand
+    hist = graph.history
+    via_base = graph.via_base
+    # The tier marks a node when it is first reached, as it never relaxes
+    # one twice, and lends ``_full_search`` back its generation if it runs
+    # out.
+    gen = scratch.gen + 1
+    reached = -gen
+    stamp = scratch.stamp
+    pnode = scratch.parent_node
+    pplus = scratch.pplus
+    horiz = scratch.horiz
+    heap = []
+    for s in tier:
+        if stamp[s] != reached:
+            stamp[s] = reached
+            pnode[s] = -1
+            heap.append(s)
+    heapq.heapify(heap)
+    popped = []
+
+    # Each move is tight when the bound table falls by 1 along it (tested
+    # first) and its edge costs exactly 1.
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        u = pop(heap)
+        popped.append(u)
+        if u in targets:
+            scratch.gen = gen
+            scratch.pops += len(popped)
+            return _path(u, scratch, via_base)
+        ux = nx[u]
+        uy = ny[u]
+        uz = nz[u]
+        if horiz[uz]:
+            at, lo, hi, step, hp = ux, xlo, xhi, 1, hx
+        else:
+            at, lo, hi, step, hp = uy, ylo, yhi, x_dim, hy
+        down = hp[at] - 1
+        if at > lo and hp[at - 1] == down:
+            v = u - step
+            if stamp[v] != reached:
+                eid = pplus[v]
+                if hist[eid] == 0.0 and dem[eid] < cap[eid]:
+                    stamp[v] = reached
+                    pnode[v] = u
+                    push(heap, v)
+        if at < hi and hp[at + 1] == down:
+            v = u + step
+            if stamp[v] != reached:
+                eid = pplus[u]
+                if hist[eid] == 0.0 and dem[eid] < cap[eid]:
+                    stamp[v] = reached
+                    pnode[v] = u
+                    push(heap, v)
+        zf = 4 * uz + fx[ux] + fy[uy]
+        down = vb[zf] - 1
+        if uz > 0 and vb[zf - 4] == down:
+            v = u - xy
+            if stamp[v] != reached:
+                eid = via_base + v
+                if hist[eid] == 0.0 and dem[eid] < cap[eid]:
+                    stamp[v] = reached
+                    pnode[v] = u
+                    push(heap, v)
+        if uz < top and vb[zf + 4] == down:
+            v = u + xy
+            if stamp[v] != reached:
+                eid = via_base + u
+                if hist[eid] == 0.0 and dem[eid] < cap[eid]:
+                    stamp[v] = reached
+                    pnode[v] = u
+                    push(heap, v)
+    for u in popped:
+        stamp[u] = 0
+    return _full_search(graph, sources, targets, bounds, pres_fac, scratch)
+
+
+def _path(u: int, scratch: _Scratch, via_base: int) -> tuple[list[int], list[int]]:
+    """The (edges, nodes) of the search path that ends at ``u``, from its
+    source, by ``scratch.parent_node``."""
+    pnode = scratch.parent_node
+    pplus = scratch.pplus
+    nz = scratch.nz
+    edges = []
+    nodes = [u]
+    v = u
+    while (w := pnode[v]) >= 0:
+        m = min(v, w)
+        edges.append(pplus[m] if nz[v] == nz[w] else via_base + m)
+        nodes.append(w)
+        v = w
+    edges.reverse()
+    nodes.reverse()
+    return edges, nodes
+
+
+def _full_search(graph: RoutingGraph, sources, targets: set[int],
+                 bounds: tuple[int, int, int, int], pres_fac: float, scratch: _Scratch):
+    """``_astar`` without its tight tier: A* over (f, node id) heap entries.
 
     As the bound is consistent, a closed node is final, and the sign of
     its stamp marks it; a path edge is derived from its two nodes (see
@@ -516,17 +683,7 @@ def _astar(graph: RoutingGraph, sources, targets: set[int],
         stamp[u] = closed
         if u in targets:
             scratch.pops += pops
-            edges = []
-            nodes = [u]
-            v = u
-            while (w := pnode[v]) >= 0:
-                m = min(v, w)
-                edges.append(pplus[m] if nz[v] == nz[w] else via_base + m)
-                nodes.append(w)
-                v = w
-            edges.reverse()
-            nodes.reverse()
-            return edges, nodes
+            return _path(u, scratch, via_base)
         g1 = gs[u] + 1.0
         ux = nx[u]
         uy = ny[u]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import routing_oracles as oracle
 from conftest import NAND3_ACCESS_COUNTS, tiny_netlist
+from routekit import cli
 from routekit import fabric as fab
 from routekit import globalroute as gr
 from routekit import netlist as nl
@@ -290,6 +292,37 @@ def test_route_deterministic():
         routes, _ = gr.route_terminal_sets(graph, nets)
         results.append([r.edges for r in routes])
     assert results[0] == results[1]
+
+
+LIGHT_ANNEAL = ["--moves-per-temp", "4000", "--max-temps", "40"]
+
+
+@pytest.mark.parametrize("cells, design_seed, fabric, flags, digest", [
+    (600, 1, "2d", ["--seed", "1", "--moves-per-temp", "2000"],
+     "2c4e72b35789c089b72db7a0b3a60a43e5b8029c171698369278d44cecebc84f"),
+    (600, 1, "tmi", ["--seed", "1", "--moves-per-temp", "2000"],
+     "fabfba0ccc374a63b2122507eea1cd0c2f3bc2067ed554bdff02933f5773dc6b"),
+    (600, 1, "s3dc", ["--seed", "1", "--moves-per-temp", "2000"],
+     "bd36721b61d316260bc06b51945f0fa4b20c665f29600f0dde82e8dc8e90f90f"),
+    (1000, 102, "tmi", ["--seed", "2", *LIGHT_ANNEAL],
+     "eb3498850c6375ecf056b505a8de6d119bd7df65e5b099045b6aaed913854dd5"),
+    (1600, 100, "2d", ["--seed", "0", *LIGHT_ANNEAL],
+     "a98662c7e9facb71c1dde02ba0ae05bc987870cb34ef1f7d4e3388d1c0388826"),
+    (1600, 100, "s3dc", ["--seed", "0", *LIGHT_ANNEAL],
+     "034d84280115b7ea6f56f6b53d268b3d2f970bec754222518ea13e6e2cc60b05"),
+], ids=["sweep-2d", "sweep-tmi", "sweep-s3dc", "c102-tmi", "open-2d", "open-s3dc"])
+def test_route_output_is_pinned(tmp_path, cells, design_seed, fabric, flags, digest):
+    # the benchmark's six jobs (fabric-sweep, congested-reroute and
+    # open-first-pass), each a 'run' of a generated netlist file: the digest
+    # is that of the routes.txt it writes, so that a faster router must
+    # return the same routes, tie-breaks included
+    net = tmp_path / "design.net"
+    net.write_text(nl.serialize_netlist(
+        nl.generate_synthetic(nl.SynthesisParams(num_cells=cells, seed=design_seed))))
+    cli.main(["run", "--netlist", str(net), "--fabric", fabric, "-o", str(tmp_path / "out"),
+              *flags])
+    routes = (tmp_path / "out" / "routes.txt").read_bytes()
+    assert hashlib.sha256(routes).hexdigest() == digest
 
 
 def test_unroutable_reports_isolated_terminal():

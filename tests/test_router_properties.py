@@ -6,7 +6,9 @@ must give exactly what the frozen references in ``router_reference.py``
 give; over runs of dozens of searches on one scratch state, where the two
 searches' lower bounds may break ties between equal-cost paths
 differently, the search must still return a walk of the lattice at the
-reference's cost.  Its lower bound must be consistent and its via table
+reference's cost.  Searching the bound's tight tier first must return
+the full search's path, with its search and heap-pop counts, on every
+search.  The search's lower bound must be consistent and its via table
 must match an enumeration of layer walks, and routed nets must be trees
 whose usage accounts for every unit of demand.  On any layer stack, a net
 searched in its own region fails exactly when a BFS over the whole die
@@ -17,6 +19,7 @@ same examples.
 
 import copy
 import math
+import types
 
 import pytest
 import router_reference as ref
@@ -69,39 +72,64 @@ def pin_stack(rnd, graph):
 # --- the table-driven search against the frozen reference
 
 
-def search_pairs(graph, rnd, flat, stacked, calls):
-    """Run the live search and the frozen reference side by side, one
-    scratch state each, and yield each pair of results with the search's
-    inputs; the live path is then committed, as the router does."""
-    # Random capacity (zero-capacity planar edges included), demand and
-    # integer history, or none of them (a first pass: all costs equal, so
-    # tie-breaks decide); then a run of searches between random node sets
-    # or pin stacks.
+def random_costs(graph, rnd, flat):
+    """Random capacity (zero-capacity planar edges included), demand and
+    integer history, or none of them (a first pass: all costs equal, so
+    tie-breaks decide)."""
     for e in range(graph.num_edges):
         if e < graph.via_base and rnd.random() < 0.2:
             graph.capacity[e] = 0
         if not flat:
             graph.demand[e] = rnd.randint(0, 4)
             graph.history[e] = float(rnd.randint(0, 6))
+
+
+def sparse_costs(graph, rnd):
+    """Random capacity as ``random_costs`` gives it, then integer history on
+    a tenth of the edges and a full track on another tenth, as a reroute
+    pass finds them: most steps still cost exactly 1."""
+    random_costs(graph, rnd, flat=True)
+    for e in range(graph.num_edges):
+        if rnd.random() < 0.1:
+            graph.history[e] = float(rnd.randint(1, 6))
+        if rnd.random() < 0.1:
+            graph.demand[e] = graph.capacity[e]
+
+
+def search_inputs(graph, rnd, stacked, calls):
+    """The inputs of a run of searches between random node sets or pin
+    stacks, each in a random region: (sources, targets, bounds, pres_fac)."""
     nnodes = graph.x * graph.y * graph.layers
-    new_scratch = gr._Scratch(graph)
-    ref_scratch = ref._Scratch(nnodes)
     for k, region_seed in calls:
         if stacked:
             sources, target_list = pin_stack(rnd, graph), pin_stack(rnd, graph)
         else:
             sources, target_list = node_sets(rnd, nnodes, 2)
-        targets = set(target_list)
         x0 = region_seed % graph.x
         y0 = (region_seed // graph.x) % graph.y
         bounds = (x0, rnd.randint(x0, graph.x - 1), y0, rnd.randint(y0, graph.y - 1))
-        pres_fac = 1.5 ** k
-        got = gr._astar(graph, sources, targets, bounds, pres_fac, new_scratch)
-        want = ref._astar(graph, sources, targets, bounds, pres_fac, ref_scratch)
-        yield got, want, (sources, targets, bounds, pres_fac)
-        if got is not None:
-            for e in got[0]:
-                graph.demand[e] += 1
+        yield sources, set(target_list), bounds, 1.5 ** k
+
+
+def commit(graph, found):
+    """Add a found path's demand, as the router does."""
+    if found is not None:
+        for e in found[0]:
+            graph.demand[e] += 1
+
+
+def search_pairs(graph, rnd, flat, stacked, calls):
+    """Run the live search and the frozen reference side by side, one
+    scratch state each, and yield each pair of results with the search's
+    inputs; the live path is then committed."""
+    random_costs(graph, rnd, flat)
+    new_scratch = gr._Scratch(graph)
+    ref_scratch = ref._Scratch(graph.x * graph.y * graph.layers)
+    for args in search_inputs(graph, rnd, stacked, calls):
+        got = gr._astar(graph, *args, new_scratch)
+        want = ref._astar(graph, *args, ref_scratch)
+        yield got, want, args
+        commit(graph, got)
 
 
 @settings(BOUNDED, max_examples=300)
@@ -156,6 +184,88 @@ def test_astar_keeps_reference_costs_over_many_searches(graph, rnd, flat, stacke
         assert all(xlo <= u % graph.x <= xhi and ylo <= u // graph.x % graph.y <= yhi
                    for u in nodes)
         assert path_cost(graph, edges, pres_fac) == path_cost(graph, want[0], pres_fac)
+
+
+# --- the search's tight tier against the full search
+
+
+@pytest.fixture
+def tier_spy(monkeypatch):
+    """``search`` is the full search alone, while ``gr._astar`` counts in
+    ``fallbacks`` the searches whose tight tier found no target."""
+    spy = types.SimpleNamespace(search=gr._full_search, fallbacks=0)
+
+    def counted(*args):
+        spy.fallbacks += 1
+        return spy.search(*args)
+
+    monkeypatch.setattr(gr, "_full_search", counted)
+    return spy
+
+
+def test_tier_search_matches_full_search(tier_spy):
+    # gr._astar on one scratch state and the full search alone on its twin,
+    # over runs of dozens of searches on flat, random and sparse costs: the
+    # same path, and the same search and heap-pop counts, after every
+    # search.  Both kinds of search occur: some end in the tier and some
+    # fall back to the full search.
+    searches = 0
+
+    @settings(BOUNDED, max_examples=200)
+    @given(graph=grids(max_side=7, max_layers=5), rnd=st.randoms(use_true_random=False),
+           costs=st.sampled_from(["flat", "random", "sparse"]), stacked=st.booleans(),
+           calls=st.lists(st.tuples(st.integers(0, 45), st.integers(0, 2**16)),
+                          min_size=24, max_size=48))
+    def check(graph, rnd, costs, stacked, calls):
+        nonlocal searches
+        if costs == "sparse":
+            sparse_costs(graph, rnd)
+        else:
+            random_costs(graph, rnd, flat=costs == "flat")
+        tiered, full = gr._Scratch(graph), gr._Scratch(graph)
+        for args in search_inputs(graph, rnd, stacked, calls):
+            got = gr._astar(graph, *args, tiered)
+            assert got == tier_spy.search(graph, *args, full)
+            assert (tiered.gen, tiered.pops) == (full.gen, full.pops)
+            searches += 1
+            commit(graph, got)
+
+    check()
+    assert 0 < tier_spy.fallbacks < searches
+
+
+def test_tier_dead_ends_at_a_bound_zero_node_that_is_no_target(tier_spy):
+    # Targets at x 0 and 2 of row 0 on the 'h' layer: the node between
+    # them lies in the targets' box with bound 0.  The tight walk from
+    # (1, 2) down the 'v' layer and its via ends there, so the search falls
+    # back and finds a path one step above the bound.
+    graph = gr.RoutingGraph(3, 3, 1, 100.0, ("h", "v"), (2, 2), 4)
+    source = graph.node_id(1, 2, 1)
+    targets = {graph.node_id(0, 0, 0), graph.node_id(2, 0, 0)}
+    args = ([source], targets, (0, 2, 0, 2), 1.0)
+    tiered, full = gr._Scratch(graph), gr._Scratch(graph)
+    edges, nodes = gr._astar(graph, *args, tiered)
+    assert tier_spy.fallbacks == 1
+    assert (edges, nodes) == tier_spy.search(graph, *args, full)
+    assert (tiered.gen, tiered.pops) == (full.gen, full.pops)
+    assert search_bound(graph, targets)[source] == 3 and len(edges) == 4
+
+
+@pytest.mark.parametrize("demand, history, fallbacks", [(1, 0.0, 0), (2, 0.0, 1), (1, 1.0, 1)])
+def test_tier_step_blocked_by_a_full_edge(tier_spy, demand, history, fallbacks):
+    # The one route from x 0 to x 2 crosses an edge of capacity 2: with a
+    # free track and no history the tier finds it; with demand == capacity,
+    # or with history, the step costs more than 1, so the full search finds
+    # the route at its higher cost.
+    graph = gr.RoutingGraph(3, 1, 1, 100.0, ("h",), (2,), 1)
+    graph.demand[graph.planar_edge(0, 1, 0)] = demand
+    graph.history[graph.planar_edge(0, 1, 0)] = history
+    args = ([graph.node_id(0, 0, 0)], {graph.node_id(2, 0, 0)}, (0, 2, 0, 0), 1.0)
+    tiered, full = gr._Scratch(graph), gr._Scratch(graph)
+    found = gr._astar(graph, *args, tiered)
+    assert tier_spy.fallbacks == fallbacks
+    assert found == tier_spy.search(graph, *args, full) == ([0, 1], [0, 1, 2])
+    assert (tiered.gen, tiered.pops) == (full.gen, full.pops)
 
 
 # --- the search's lower bound
