@@ -46,7 +46,8 @@ def _inputs(cls) -> dict:
 
 def _check_keys(where: str, data, hints: dict) -> dict:
     """``data``, required to be a JSON object with a value of type ``hints[k]`` at each k;
-    a float value must be finite (Python's ``json`` reads ``NaN`` and ``Infinity``)."""
+    a float value must be finite (Python's ``json`` reads ``NaN`` and ``Infinity``), and
+    a ``label`` must pass ``flow.check_label``."""
     if not isinstance(data, dict):
         raise flow.JobError(f"{where}: expected a JSON object, got {json.dumps(data)}")
     for key, hint in hints.items():
@@ -54,6 +55,8 @@ def _check_keys(where: str, data, hints: dict) -> dict:
             raise flow.JobError(f"{where}: missing key {key!r}")
         try:
             value = flow.checked(key, data[key], hint)
+            if key == "label":
+                flow.check_label(value)
         except flow.JobError as exc:
             raise flow.JobError(f"{where}: {exc}") from exc
         if isinstance(value, float) and not math.isfinite(value):

@@ -167,12 +167,19 @@ def load_design(spec: JobSpec) -> nl.Netlist:
     return design
 
 
+def check_label(label: str) -> str:
+    """``label``, which the CSV tables write as a bare field: it must be one
+    line with no comma."""
+    if "," in label or label.splitlines() != [label]:
+        raise JobError(f"label {label!r} holds a comma or a line break; a CSV field "
+                       f"cannot hold it")
+    return label
+
+
 def place_job(spec: JobSpec) -> PlacedJob:
     fabric = load_fabric(spec.fabric)
     design = load_design(spec)
-    label = spec.label or f"{fabric.kind.value}:{design.name}"
-    if "," in label or label.splitlines() != [label]:
-        raise JobError(f"label {label!r} holds a comma or a line break; report.csv cannot hold it")
+    label = check_label(spec.label or f"{fabric.kind.value}:{design.name}")
     design = fab.bind_masters(design, fabric)
     die = pl.size_die(design, fabric, spec.utilization)
     config = pl.AnnealConfig(moves_per_temp=spec.moves_per_temp, max_temps=spec.max_temps)

@@ -16,6 +16,13 @@ decomposed over a rectilinear MST of their terminal gcells, and each new
 connection may start from any node of the net's partial tree, so shared
 segments cost nothing.
 
+The router keeps the routing of the pass that left the fewest overflowed
+edges and returns it, with its demand, if the last pass left more.  It
+stops once ``STAGNATION_NETS`` nets have been rerouted since that pass:
+cheap passes of a few nets keep running, a string of large passes that do
+not pay stops.  As the passes of a run with ``max_iters`` m are the first
+passes of one with m + 1, one more iteration never returns more overflow.
+
 Most searches find a path that costs exactly their lower bound.  So each
 search first walks, on a heap of bare node ids, only the steps that keep
 A*'s f value at the sources' least bound, which A* pops before any other;
@@ -54,9 +61,7 @@ PRESENT_FACTOR = 1.0  # first-pass weight of an edge's overuse
 PRESENT_GROWTH = 1.5  # present-factor growth per reroute iteration
 HISTORY_INCREMENT = 1.0  # history added per unit of overuse per iteration
 BBOX_MARGIN = 2  # gcells searched beyond a net's terminal bounding box
-STAGNATION_ITERS = 3  # stop after this many expensive iterations without progress
-STAGNATION_GAIN = 0.02  # >=2% overflow reduction counts as progress
-STAGNATION_MIN_NETS = 128  # smaller reroute batches are cheap; let them run
+STAGNATION_NETS = 384  # stop once this many nets rerouted since the last new best
 
 
 @dataclass
@@ -865,8 +870,11 @@ def route_terminal_sets(
     cap = graph.capacity
     # Edges with demand > capacity, kept current at every demand change.
     overflowed = {e for e in range(graph.num_edges) if dem[e] > cap[e]}
-    best_overflow = None
-    stale = 0
+    # The routing of the pass that left the fewest overflowed edges.  A
+    # reroute replaces a net's edge list and never edits it, so a shallow
+    # copy keeps it.
+    best_overflow = best_pass = best_routing = None
+    fruitless = 0  # nets rerouted since the last new best
     passes = 0
     stop = "max_iters"
     pending = list(order)
@@ -875,12 +883,9 @@ def route_terminal_sets(
             over = sorted(overflowed)
             if not over:
                 break
-            if best_overflow is None or len(over) < best_overflow * (1.0 - STAGNATION_GAIN):
-                best_overflow = len(over)
-                stale = 0
-            else:
-                best_overflow = min(best_overflow, len(over))
-                stale += 1
+            if best_overflow is None or len(over) < best_overflow:
+                best_overflow, best_pass, best_routing = len(over), passes, routed_edges.copy()
+                fruitless = 0
             users: dict[int, list[int]] = {e: [] for e in over}
             for i in order:
                 edges = routed_edges[i]
@@ -907,11 +912,13 @@ def route_terminal_sets(
             if not pending:
                 stop = "nothing to reroute"
                 break
-            if stale >= STAGNATION_ITERS and len(pending) > STAGNATION_MIN_NETS:
-                logger.debug("overflow stagnant for %d iterations, stopping", stale)
+            if fruitless >= STAGNATION_NETS:
+                logger.debug("overflow stagnant: %d nets rerouted since pass %d, stopping",
+                             fruitless, best_pass)
                 stop = "stagnation"
                 break
             passes = iteration
+            fruitless += len(pending)
             for e in over:
                 graph.history[e] += HISTORY_INCREMENT * (dem[e] - cap[e])
             for i in pending:
@@ -948,6 +955,16 @@ def route_terminal_sets(
     logger.debug("router stopped after %d reroute passes: %s; the last pass made "
                  "%d searches and %d heap pops", passes,
                  "converged" if not overflowed else stop, searches, pops)
+    if best_routing is not None and best_overflow < len(overflowed):
+        logger.debug("restored the routing of pass %d: %d overflowed edges, against %d "
+                     "after the last pass", best_pass, best_overflow, len(overflowed))
+        for edges, kept in zip(routed_edges, best_routing):
+            if edges is not kept:
+                for e in edges:
+                    dem[e] -= 1
+                for e in kept:
+                    dem[e] += 1
+        routed_edges = best_routing
 
     routes = [NetRoute(net_id=t.net_id, edges=tuple(routed_edges[i]))
               for i, t in enumerate(tasks)]

@@ -12,9 +12,11 @@ iteration.  It calls the live helpers (``_route_one`` and the table-driven
 search), so comparing it with ``routekit.globalroute.route_terminal_sets``
 checks the overflow bookkeeping alone.  The schedule values it once read
 from ``RouteParams`` (present factor 1.0 growing 1.5x, history increment
-1.0, bounding-box margin 2, stagnation after 3 iterations under 2% gain with
-more than 128 nets) are written in as literals, so that the copy does not
-follow the live constants.  Do not edit or optimise this file.
+1.0, bounding-box margin 2, a stop once 384 nets have been rerouted since
+the last pass that left fewer overflowed edges than any before it, whose
+routing is then put back if it beats the last pass's) are written in as
+literals, so that the copy does not follow the live constants.  Do not edit
+or optimise this file.
 """
 
 import heapq
@@ -215,19 +217,18 @@ def route_terminal_sets(
     scratch = gr._Scratch(graph)
     margin = 2
     best_overflow = None
-    stale = 0
+    best_routing: dict[int, list[int]] = {}
+    fruitless = 0
     pending = list(order)
     for iteration in range(params.max_iters + 1):
         if iteration > 0:
             over = [e for e in range(graph.num_edges) if dem[e] > graph.capacity[e]]
             if not over:
                 break
-            if best_overflow is None or len(over) < best_overflow * (1.0 - 0.02):
+            if best_overflow is None or len(over) < best_overflow:
                 best_overflow = len(over)
-                stale = 0
-            else:
-                best_overflow = min(best_overflow, len(over))
-                stale += 1
+                best_routing = dict(routed_edges)
+                fruitless = 0
             over_set = set(over)
             users: dict[int, list[int]] = {e: [] for e in over}
             for i in order:
@@ -254,9 +255,10 @@ def route_terminal_sets(
             pending = [i for i in order if i in ripped]
             if not pending:
                 break
-            if stale >= 3 and len(pending) > 128:
-                logger.debug("overflow stagnant for %d iterations, stopping", stale)
+            if fruitless >= 384:
+                logger.debug("overflow stagnant: %d nets rerouted, stopping", fruitless)
                 break
+            fruitless += len(pending)
             for e in over:
                 graph.history[e] += 1.0 * (dem[e] - graph.capacity[e])
             for i in pending:
@@ -277,6 +279,15 @@ def route_terminal_sets(
             for e in edges:
                 dem[e] += 1
             routed_edges[i] = edges
+    last_overflow = sum(1 for e in range(graph.num_edges) if dem[e] > graph.capacity[e])
+    if best_overflow is not None and best_overflow < last_overflow:
+        for edges in routed_edges.values():
+            for e in edges:
+                dem[e] -= 1
+        for edges in best_routing.values():
+            for e in edges:
+                dem[e] += 1
+        routed_edges = best_routing
 
     routes = [gr.NetRoute(net_id=t.net_id, edges=tuple(routed_edges.get(i, ())))
               for i, t in enumerate(tasks)]

@@ -269,6 +269,25 @@ def test_repeated_label_exits_2_naming_it(tmp_path, capsys, command):
     assert "label '2d'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["2d,x", "2d\nx"])
+@pytest.mark.parametrize("command, name", [("compare", "report.json"),
+                                           ("analyze", "run_meta.json")])
+def test_read_label_with_a_comma_or_line_break_exits_2_naming_the_file(
+        tmp_path, capsys, command, name, label):
+    # the label read back goes into a CSV field as it is
+    (run,) = make_runs(tmp_path, fabrics=("2d",))
+    path = run / name
+    data = json.loads(path.read_text())
+    (data["rows"][0] if command == "compare" else data)["label"] = label
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(command, run, "-o", tmp_path / "table") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"routekit: error: {path}: ")
+    assert f"label {label!r} holds a comma or a line break" in err
+    assert not (tmp_path / "table").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     net = gen_netlist(tmp_path / "n.net")
     cfg = tmp_path / "run.json"
@@ -736,11 +755,12 @@ def test_out_of_range_run_option_fails_before_any_stage(tmp_path, capsys, flag, 
 # only its own echo in run_meta.json.  A new JobSpec field fails the test
 # until it is given a value here or exempted with a reason.
 # The annealer runs long enough that its best state is not its start, so that
-# moves_per_temp and max_temps change the placement.
+# moves_per_temp and max_temps change the placement.  At gcell 4 the reroute
+# passes still gain on the first, so that max_iters changes the routing kept.
 GUARD_BASE = {"fabric": "tmi", "cells": 200, "moves_per_temp": 100, "max_temps": 20,
-              "gcell": 6, "max_iters": 5, "label": "x"}  # a congested job
+              "gcell": 4, "max_iters": 5, "label": "x"}  # a congested job
 GUARD_VALUES = {"fabric": "s3dc", "rent": 0.6, "pins": 4.0, "seed": 2, "utilization": 0.5,
-                "moves_per_temp": 200, "max_temps": 2, "gcell": 4, "max_iters": 1,
+                "moves_per_temp": 200, "max_temps": 2, "gcell": 6, "max_iters": 1,
                 "freq": 2.0, "activity": 0.1}
 GUARD_EXEMPT = {"netlist", "cells", "label"}  # the design source and the report's name
 META_ECHO = {"fabric": "fabric", "seed": "seed", "utilization": "utilization", "gcell": "gcell",

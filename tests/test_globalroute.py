@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import routing_oracles as oracle
 from conftest import NAND3_ACCESS_COUNTS, tiny_netlist
 from routekit import cli
 from routekit import fabric as fab
+from routekit import flow
 from routekit import globalroute as gr
 from routekit import netlist as nl
 from routekit import placement as pl
@@ -478,10 +480,26 @@ def test_router_closing_record_gives_each_stop_reason(caplog, monkeypatch):
     graph = via_graph()
     graph.demand[graph.via_base] = 2  # an overflow that no routed net holds
     assert closing_record(caplog, graph, []) == (0, "nothing to reroute", 0, 0)
-    monkeypatch.setattr(gr, "STAGNATION_MIN_NETS", 0)
+    monkeypatch.setattr(gr, "STAGNATION_NETS", 2)
     passes, *rest = closing_record(caplog, via_graph(), two)
     assert 0 < passes < gr.RouteParams().max_iters
     assert rest == ["stagnation", 1, 2]
+
+
+def test_router_puts_back_a_better_earlier_pass(caplog):
+    # a congested tmi job whose first pass leaves the fewest overflowed
+    # edges: five reroute passes end at 63, and the first pass's routing,
+    # with its demand, comes back
+    spec = flow.JobSpec(fabric="tmi", cells=200, moves_per_temp=100, max_temps=20, gcell=6)
+    placed = flow.place_job(spec)
+    first = flow.route_job(placed, replace(spec, max_iters=0))
+    with caplog.at_level("DEBUG", logger="routekit.globalroute"):
+        kept = flow.route_job(placed, replace(spec, max_iters=5))
+    assert first.meta["overflow_edges"] == kept.meta["overflow_edges"] == 57
+    assert kept.routes == first.routes
+    assert kept.graph.demand == first.graph.demand
+    (record,) = [r for r in caplog.records if r.msg.startswith("restored")]
+    assert record.args == (0, 57, 63)  # (pass, its overflow, the last pass's)
 
 
 def test_zero_capacity_edge_ratio_agrees_everywhere():

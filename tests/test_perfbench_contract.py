@@ -37,9 +37,9 @@ def test_perfbench_selftest_passes():
 
 def test_router_log_records_match_tracing(monkeypatch):
     # one capacity-1 via shared by two nets: the overflow never clears, so
-    # the router reroutes until the stagnation rule, here with no floor on
-    # the reroute batch, stops it
-    monkeypatch.setattr(gr, "STAGNATION_MIN_NETS", 0)
+    # the router reroutes until the stagnation rule, here with a budget of
+    # two fruitless reroutes, stops it
+    monkeypatch.setattr(gr, "STAGNATION_NETS", 2)
     graph = gr.RoutingGraph(1, 1, 1, 100.0, ("h", "v"), (10, 10), via_capacity=1)
     log = logging.getLogger("routekit.globalroute")
     handler = _Records()

@@ -383,6 +383,24 @@ def test_routes_are_trees_and_account_for_demand(graph, rnd, nnets, seed_overflo
     assert cmap.congested == (overflowed > 0)
 
 
+@settings(BOUNDED, max_examples=120)
+@given(graph=grids(), rnd=st.randoms(use_true_random=False), nnets=st.integers(2, 14),
+       seed_overflow=st.booleans())
+def test_one_more_reroute_pass_never_returns_more_overflow(graph, rnd, nnets, seed_overflow):
+    # The router returns the routing of its best pass, and the passes of a
+    # run with max_iters m are the first passes of one with m + 1, so
+    # overflow at m + 1 is at most overflow at m.
+    nnodes = graph.x * graph.y * graph.layers
+    if seed_overflow:
+        for e in rnd.sample(range(graph.num_edges), min(4, graph.num_edges)):
+            graph.demand[e] = graph.capacity[e] + rnd.randint(0, 2)
+    nets = [(f"n{i}", node_sets(rnd, nnodes, rnd.randint(2, 4))) for i in range(nnets)]
+    overflow = [gr.route_terminal_sets(copy.deepcopy(graph), nets,
+                                       gr.RouteParams(max_iters=m))[1].overflow_edge_count
+                for m in range(8)]
+    assert overflow == sorted(overflow, reverse=True)
+
+
 @st.composite
 def any_stacks(draw, max_side=6, max_layers=4):
     """A routing graph whose stack may leave nodes unreachable: any layer
