@@ -169,7 +169,9 @@ def load_design(spec: JobSpec) -> nl.Netlist:
 
 def check_label(label: str) -> str:
     """``label``, which the CSV tables write as a bare field: it must be one
-    line with no comma."""
+    nonempty line with no comma."""
+    if not label:
+        raise JobError("key 'label' is empty; a report row needs a name")
     if "," in label or label.splitlines() != [label]:
         raise JobError(f"label {label!r} holds a comma or a line break; a CSV field "
                        f"cannot hold it")
@@ -179,7 +181,7 @@ def check_label(label: str) -> str:
 def place_job(spec: JobSpec) -> PlacedJob:
     fabric = load_fabric(spec.fabric)
     design = load_design(spec)
-    label = check_label(spec.label or f"{fabric.kind.value}:{design.name}")
+    label = check_label(f"{fabric.kind.value}:{design.name}" if spec.label is None else spec.label)
     design = fab.bind_masters(design, fabric)
     die = pl.size_die(design, fabric, spec.utilization)
     config = pl.AnnealConfig(moves_per_temp=spec.moves_per_temp, max_temps=spec.max_temps)

@@ -137,10 +137,6 @@ class RoutingGraph:
     def node_id(self, gx: int, gy: int, layer0: int) -> int:
         return (layer0 * self.y + gy) * self.x + gx
 
-    def planar_edge(self, layer0: int, gx: int, gy: int) -> int:
-        """Edge from (gx,gy) toward +x on 'h' layers, +y on 'v' layers."""
-        return self.pbase[layer0] + gy * self.blocks[layer0][1] + gx
-
     def planar_layer(self, eid: int) -> int:
         """The 0-based layer of planar edge ``eid``."""
         return bisect.bisect_right(self.pbase, eid) - 1
@@ -762,24 +758,13 @@ def _full_search(graph: RoutingGraph, sources, targets: set[int],
 class _NetTask:
     net_id: str
     entries: list[list[int]]  # per terminal, candidate entry nodes
-    bbox: tuple[int, int, int, int]
-    hp: int
+    bounds: tuple[int, int, int, int]  # the search region (xlo, xhi, ylo, yhi)
+    hp: int  # the terminal box's half-perimeter
     order: list[int] = field(default_factory=list)  # MST attach order, after terminal 0
 
 
-def _region(task: _NetTask, margin: int, graph: RoutingGraph) -> tuple[int, int, int, int]:
-    x0, x1, y0, y1 = task.bbox
-    return (
-        max(0, x0 - margin),
-        min(graph.x - 1, x1 + margin),
-        max(0, y0 - margin),
-        min(graph.y - 1, y1 + margin),
-    )
-
-
-def _route_one(graph: RoutingGraph, task: _NetTask, bounds, pres_fac: float,
-               scratch: _Scratch):
-    """Route a whole net inside ``bounds``; returns edge list or None.
+def _route_one(graph: RoutingGraph, task: _NetTask, pres_fac: float, scratch: _Scratch):
+    """Route a whole net inside ``task.bounds``; returns edge list or None.
 
     Vias join each gcell's stack, so the lattice's connected parts are the
     die, its columns, its rows or its gcell stacks (``scratch.cuts``).  Each
@@ -814,7 +799,7 @@ def _route_one(graph: RoutingGraph, task: _NetTask, bounds, pres_fac: float,
             sources = tree_nodes
             if tree_nodes & targets:
                 continue
-        found = _astar(graph, sources, targets, bounds, pres_fac, scratch)
+        found = _astar(graph, sources, targets, task.bounds, pres_fac, scratch)
         if found is None:
             return None
         path_edges, path_nodes = found
@@ -853,10 +838,12 @@ def route_terminal_sets(
         reps = [(nx[entry[0]], ny[entry[0]]) for entry in entries]
         xs = [nx[node] for entry in entries for node in entry]
         ys = [ny[node] for entry in entries for node in entry]
-        bbox = (min(xs), max(xs), min(ys), max(ys))
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
         task = _NetTask(
-            net_id=net_id, entries=entries, bbox=bbox,
-            hp=(bbox[1] - bbox[0]) + (bbox[3] - bbox[2]),
+            net_id=net_id, entries=entries,
+            bounds=(max(0, x0 - BBOX_MARGIN), min(graph.x - 1, x1 + BBOX_MARGIN),
+                    max(0, y0 - BBOX_MARGIN), min(graph.y - 1, y1 + BBOX_MARGIN)),
+            hp=(x1 - x0) + (y1 - y0),
         )
         if len(entries) > 1:
             task.order = _prim_order(reps)
@@ -939,7 +926,7 @@ def route_terminal_sets(
         gen0, pops0 = scratch.gen, scratch.pops
         for i in pending:
             task = tasks[i]
-            edges = _route_one(graph, task, _region(task, BBOX_MARGIN, graph), pres_fac, scratch)
+            edges = _route_one(graph, task, pres_fac, scratch)
             if edges is None:
                 raise RoutingError(
                     f"net {task.net_id!r}: no route exists (isolated terminal gcell)")

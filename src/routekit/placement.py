@@ -27,8 +27,8 @@ the start is already analytic; after each step it is scaled by
 ``1 - RANGE_TARGET + accepted share``, with RANGE_TARGET 0.44, and kept
 between 1 and the grid's longer side; w is the radius rounded.  A window
 that reaches across the die from every slot draws any slot.  The anneal
-stops once a step lowers the best-seen cost by less than STOP_GAIN, 1%, of
-its value, beside the max_temps cap and the 1%-acceptance stop.  Die-wide
+stops after a step that lowers the best-seen cost by less than STOP_GAIN,
+1%, of its value or leaves it at 0, or at the max_temps cap.  Die-wide
 moves from an analytic start were only 1-3% accepted, and their anneal ran
 18 to 40 steps on the bench designs; windowed moves are accepted 8-27% of
 the time, and the gain stop ends the same runs after 7 to 10 steps at lower
@@ -197,7 +197,6 @@ def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int =
 
 MOVES_CAP = 40000  # most moves per temperature step by default
 COOLING = 0.95  # temperature factor per step
-MIN_ACCEPT_RATE = 0.01  # stop once a step accepts fewer moves than this share
 START_ACCEPTANCE = 0.02  # share of the sampled costly moves the first step would accept
 ANALYTIC_ROUNDS = 16  # anchored solves of the analytic start
 ANCHOR_WEIGHT = 0.01  # anchor weight of the first solve
@@ -530,7 +529,6 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, rng, moves_per_temp, max
         score(c, px[c], py[c], ())
     hp[:] = nv
 
-    min_accepted = max(1, int(MIN_ACCEPT_RATE * moves_per_temp))
     deltas = []
     for step in range(-1, max_temps):
         sampling = step < 0
@@ -597,13 +595,9 @@ def _anneal(cell_slot, cols, slot_x, slot_y, net_terms, rng, moves_per_temp, max
         logger.debug("anneal step %d: T=%.6g, accepted %d of %d, cost %d, best %d, window %d",
                      step, t, accepted, moves_per_temp, cost, best_cost, w)
         t *= COOLING
-        if accepted < min_accepted:
-            logger.debug("anneal stopped after step %d: %d accepted moves, below %d",
-                         step, accepted, min_accepted)
-            break
-        if best_before - best_cost < STOP_GAIN * best_before:
-            logger.debug("anneal stopped after step %d: best cost fell by less than %g%%",
-                         step, 100 * STOP_GAIN)
+        if best_before - best_cost < STOP_GAIN * best_before or best_cost == 0:
+            logger.debug("anneal stopped after step %d: best cost %s", step,
+                         f"fell by less than {100 * STOP_GAIN:g}%" if best_cost else "is 0")
             break
         radius = min(max(radius * (1 - RANGE_TARGET + accepted / moves_per_temp), 1), side)
         w = int(radius + 0.5)

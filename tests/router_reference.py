@@ -185,6 +185,7 @@ def route_terminal_sets(
     params = params or gr.RouteParams()
     x_dim = graph.x
     y_dim = graph.y
+    margin = 2
 
     tasks: list[gr._NetTask] = []
     for net_id, entries in nets:
@@ -202,7 +203,9 @@ def route_terminal_sets(
                 ys.append((node // x_dim) % y_dim)
         bbox = (min(xs), max(xs), min(ys), max(ys))
         task = gr._NetTask(
-            net_id=net_id, entries=entries, bbox=bbox,
+            net_id=net_id, entries=entries,
+            bounds=(max(0, bbox[0] - margin), min(x_dim - 1, bbox[1] + margin),
+                    max(0, bbox[2] - margin), min(y_dim - 1, bbox[3] + margin)),
             hp=(bbox[1] - bbox[0]) + (bbox[3] - bbox[2]),
         )
         if len(entries) > 1:
@@ -215,7 +218,6 @@ def route_terminal_sets(
     pres_fac = 1.0
 
     scratch = gr._Scratch(graph)
-    margin = 2
     best_overflow = None
     best_routing: dict[int, list[int]] = {}
     fruitless = 0
@@ -272,8 +274,7 @@ def route_terminal_sets(
         # Route in order, committing each net's demand before the next one.
         for i in pending:
             task = tasks[i]
-            edges = gr._route_one(graph, task, gr._region(task, margin, graph), pres_fac,
-                                  scratch)
+            edges = gr._route_one(graph, task, pres_fac, scratch)
             if edges is None:
                 raise gr.RoutingError(f"net {task.net_id!r}: no route exists (isolated terminal gcell)")
             for e in edges:

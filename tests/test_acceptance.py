@@ -195,7 +195,7 @@ def test_criterion_7_metric_identities():
     with criterion(7, "power identities, PPA formula, report deltas", 1.0):
         graph = gr.RoutingGraph(12, 10, 10, 100.0, ("h", "v"), (10, 10), via_capacity=4)
         fabric = fab.builtin_fabric("2d")
-        edges = [graph.planar_edge(0, i, y) for y in range(10) for i in range(11)]
+        edges = [oracle.planar_id(graph, 0, i, y) for y in range(10) for i in range(11)]
         routes = [gr.NetRoute("n0", tuple(edges[:100]))]
         base = metrics.wire_power_mw(routes, graph, fabric, metrics.PowerParams(1.0, 0.8, 0.2))
         for k in (2.0, 3.0, 7.5):

@@ -269,6 +269,33 @@ def test_repeated_label_exits_2_naming_it(tmp_path, capsys, command):
     assert "label '2d'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["place", "run"])
+def test_empty_label_exits_2_before_placement(tmp_path, capsys, command):
+    # an empty label is refused, not replaced by the default one
+    net = gen_netlist(tmp_path / "n.net")
+    with mock.patch.object(pl, "place", side_effect=AssertionError("placement ran")):
+        assert run_cli(command, "--netlist", net, "--label", "", "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "routekit: error: key 'label' is empty; a report row needs a name\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name", [("compare", "report.json"),
+                                           ("analyze", "run_meta.json")])
+def test_read_empty_label_exits_2_naming_the_key_and_the_file(tmp_path, capsys, command, name):
+    (run,) = make_runs(tmp_path, fabrics=("2d",))
+    path = run / name
+    data = json.loads(path.read_text())
+    (data["rows"][0] if command == "compare" else data)["label"] = ""
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(command, run, "-o", tmp_path / "table") == 2
+    where = f"{path}: rows[0]" if command == "compare" else str(path)
+    assert capsys.readouterr().err == (
+        f"routekit: error: {where}: key 'label' is empty; a report row needs a name\n")
+    assert not (tmp_path / "table").exists()
+
+
 @pytest.mark.parametrize("label", ["2d,x", "2d\nx"])
 @pytest.mark.parametrize("command, name", [("compare", "report.json"),
                                            ("analyze", "run_meta.json")])

@@ -52,12 +52,13 @@ def test_edge_info_roundtrip():
     # the router's edge ids are the oracle's, which it derives from the
     # documented layout alone, and they number the edges 0..num_edges-1
     graph = small_graph(x=5, y=3, layers=3, dirs=("h", "v", "h"), caps=(2, 2, 2))
+    pplus = gr._Scratch(graph).pplus
     ids = []
     for kind, li, gx, gy, eid in oracle.edge_sites(graph):
         if kind == "via":
             assert graph.via_base + graph.node_id(gx, gy, li) == eid
         else:
-            assert graph.planar_edge(li, gx, gy) == eid
+            assert pplus[graph.node_id(gx, gy, li)] == eid
         ids.append(eid)
     assert sorted(ids) == list(range(graph.num_edges))
 
@@ -344,7 +345,7 @@ def test_terminal_entries_keep_to_a_part_that_reaches_every_terminal():
     n = graph.node_id
     nets = [("n0", [[n(0, 0, 0), n(2, 0, 0)], [n(0, 1, 0), n(2, 1, 0)], [n(2, 2, 0)]])]
     routes, _ = gr.route_terminal_sets(graph, nets)
-    assert routes[0].edges == (graph.planar_edge(0, 2, 0), graph.planar_edge(0, 2, 1))
+    assert routes[0].edges == (oracle.planar_id(graph, 0, 2, 0), oracle.planar_id(graph, 0, 2, 1))
 
 
 def test_blocked_layer_is_not_traversable():
@@ -415,7 +416,7 @@ def test_route_skips_dangling_nets(caplog):
 
 def test_demand_resource_ratio_rows():
     graph = small_graph(x=3, y=3, layers=2, caps=(10, 10))
-    e = graph.planar_edge(0, 0, 0)
+    e = oracle.planar_id(graph, 0, 0, 0)
     graph.demand[e] = 8
     cmap = gr.build_congestion_map(graph)
     rows = gr.demand_resource_ratios(cmap)
@@ -434,7 +435,7 @@ def test_all_zero_demand_not_congested():
 
 def test_ratio_above_one_flags_congested():
     graph = small_graph(x=3, y=3, layers=2, caps=(4, 4))
-    e = graph.planar_edge(1, 0, 0)  # layer 2 vertical edge
+    e = oracle.planar_id(graph, 1, 0, 0)  # layer 2 vertical edge
     graph.demand[e] = 5
     cmap = gr.build_congestion_map(graph)
     assert cmap.congested
@@ -518,7 +519,7 @@ def test_zero_capacity_edge_ratio_agrees_everywhere():
 
 def test_congestion_csv_shape():
     graph = small_graph(x=3, y=2, layers=2, caps=(5, 5))
-    graph.demand[graph.planar_edge(0, 0, 0)] = 2
+    graph.demand[oracle.planar_id(graph, 0, 0, 0)] = 2
     cmap = gr.build_congestion_map(graph)
     text = gr.congestion_csv(cmap, 1)
     lines = text.strip().splitlines()

@@ -21,13 +21,13 @@ def graph_1um_gcells(layers=2):
 
 
 def route_with_edges(graph, n):
-    edges = [graph.planar_edge(0, i, 0) for i in range(n)]
+    edges = [oracle.planar_id(graph, 0, i, 0) for i in range(n)]
     return gr.NetRoute(net_id="n0", edges=tuple(edges))
 
 
 def test_wirelength_ten_unit_edges():
     graph = graph_1um_gcells()
-    routes = [route_with_edges(graph, 9), gr.NetRoute("n1", (graph.planar_edge(0, 0, 1),))]
+    routes = [route_with_edges(graph, 9), gr.NetRoute("n1", (oracle.planar_id(graph, 0, 0, 1),))]
     assert metrics.total_wirelength_mm(routes, graph) == pytest.approx(0.01)
 
 
@@ -44,7 +44,7 @@ def test_wirelength_vias_default_zero_length():
 def test_wire_power_hand_value():
     # 100 um at 0.2 fF/um, 1 GHz, 0.8 V, activity 0.2 -> 2.56 uW
     graph = gr.RoutingGraph(12, 10, 10, 100.0, ("h", "v"), (10, 10), via_capacity=4)
-    edges = [graph.planar_edge(0, i, y) for y in range(10) for i in range(11)]
+    edges = [oracle.planar_id(graph, 0, i, y) for y in range(10) for i in range(11)]
     routes = [gr.NetRoute("n0", tuple(edges[:100]))]
     power = metrics.PowerParams(clock_freq_ghz=1.0, supply_voltage=0.8, switching_activity=0.2)
     got = metrics.wire_power_mw(routes, graph, FABRIC_2D, power)

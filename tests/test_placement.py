@@ -264,8 +264,8 @@ def anneal_log(caplog, d, die, cfg):
 
 
 def test_anneal_logs_start_steps_and_max_temps_stop(caplog):
-    # 40 cells, hot for 6 steps: each step accepts far more than 1% of its
-    # moves, and with no gain stop only max_temps ends the anneal
+    # 40 cells, hot for 6 steps: the cost stays above 0, so with no gain
+    # stop only max_temps ends the anneal
     d = fab.bind_masters(nl.generate_synthetic(nl.SynthesisParams(num_cells=40, seed=3)), FAB2D)
     cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=6)
     with mock.patch.object(pl, "STOP_GAIN", 0):
@@ -281,14 +281,27 @@ def test_anneal_logs_start_steps_and_max_temps_stop(caplog):
     assert records[-1].getMessage() == "anneal stopped: max_temps (6) reached"
 
 
-def test_anneal_logs_acceptance_stop(caplog):
-    # one cell in a one-slot die: no move can be accepted
+def test_anneal_logs_zero_cost_stop(caplog):
+    # one cell in a one-slot die: the cost is 0, which no step can lower
     cfg = pl.AnnealConfig(moves_per_temp=200, max_temps=50)
     _, records = anneal_log(caplog, tiny_netlist(1, []), pl.Die(1, 1, 90.0, 1.0), cfg)
     assert len(records) == 3  # start, one step, stop
-    stop = records[-1].getMessage()
-    assert stop.startswith("anneal stopped after step 0: ")
-    assert stop.endswith("accepted moves, below 2")
+    assert records[-1].getMessage() == "anneal stopped after step 0: best cost is 0"
+
+
+def test_anneal_stops_at_zero_cost_with_the_start_placement(caplog):
+    # 1000 cells whose only net dangles: every placement costs 0, so the
+    # anneal stops after step 0, and the best-seen state is the analytic
+    # start, which is what max_temps steps of the anneal would return too
+    d = tiny_netlist(1000, [(0,)])
+    die = pl.size_die(d, FAB2D, 0.6)
+    start = pl.place(d, FAB2D, die, seed=1, config=pl.AnnealConfig(max_temps=0))
+    with caplog.at_level(logging.DEBUG, logger="routekit.placement"):
+        placed = pl.place(d, FAB2D, die, seed=1)
+    records = [r.getMessage() for r in caplog.records if r.name == "routekit.placement"]
+    assert len(records) == 3  # start, step 0, stop
+    assert records[-1] == "anneal stopped after step 0: best cost is 0"
+    assert placed.assignments == start.assignments
 
 
 def test_anneal_with_no_steps_returns_its_analytic_start(caplog):

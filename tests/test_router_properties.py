@@ -258,8 +258,8 @@ def test_tier_step_blocked_by_a_full_edge(tier_spy, demand, history, fallbacks):
     # or with history, the step costs more than 1, so the full search finds
     # the route at its higher cost.
     graph = gr.RoutingGraph(3, 1, 1, 100.0, ("h",), (2,), 1)
-    graph.demand[graph.planar_edge(0, 1, 0)] = demand
-    graph.history[graph.planar_edge(0, 1, 0)] = history
+    graph.demand[oracle.planar_id(graph, 0, 1, 0)] = demand
+    graph.history[oracle.planar_id(graph, 0, 1, 0)] = history
     args = ([graph.node_id(0, 0, 0)], {graph.node_id(2, 0, 0)}, (0, 2, 0, 0), 1.0)
     tiered, full = gr._Scratch(graph), gr._Scratch(graph)
     found = gr._astar(graph, *args, tiered)
@@ -451,11 +451,12 @@ def test_a_net_fails_exactly_when_a_terminal_is_unreachable_on_the_die(graph, rn
 def test_lattice_edge_ids_map_and_metrics_agree(graph, data):
     # Each edge's (kind, layer, gx, gy), from the oracle's own id arithmetic.
     site = {}
+    pplus = gr._Scratch(graph).pplus
     for kind, li, gx, gy, e in oracle.edge_sites(graph):
         if kind == "via":
             assert graph.via_base + graph.node_id(gx, gy, li) == e
         else:
-            assert graph.planar_edge(li, gx, gy) == e
+            assert pplus[graph.node_id(gx, gy, li)] == e
         assert e not in site
         site[e] = kind, li, gx, gy
         graph.demand[e] = e + 1
