@@ -124,9 +124,15 @@ class FabricSpec:
         return len(self.access_layer_ids)
 
     @property
+    def via_capacity(self) -> int:
+        """Signals per via edge: 1 for S3DC's single-signal (coaxial) via
+        stacks, ``DEFAULT_VIA_CAPACITY`` elsewhere."""
+        return 1 if self.kind is FabricKind.S3DC else DEFAULT_VIA_CAPACITY
+
+    @property
     def via_stack_exclusive(self) -> bool:
-        """One signal per via stack (the coaxial hop rule of S3DC)."""
-        return self.kind is FabricKind.S3DC
+        """One signal per via stack."""
+        return self.via_capacity == 1
 
     @property
     def footprint_scale(self) -> float:

@@ -48,9 +48,20 @@ def checked(name: str, value, hint):
         raise JobError(f"key {name!r} is too large for a float") from None
 
 
+def fabric_file(token: str) -> Path | None:
+    """The fabric config file ``token`` if it exists, else None once
+    ``token`` is checked to name a builtin fabric kind."""
+    path = Path(token)
+    if path.is_file():
+        return path
+    fab.normalize_kind(token)
+    return None
+
+
 # The options whose range a later stage checks, each with that stage's check,
 # so that a value out of range fails before the first stage runs.
 RANGE_CHECKS = {
+    "fabric": fabric_file,
     "cells": lambda v: v is None or nl.SynthesisParams(v),
     "rent": lambda v: nl.SynthesisParams(nl.MIN_GENERATED_CELLS, rent_exponent=v),
     "pins": lambda v: nl.SynthesisParams(nl.MIN_GENERATED_CELLS, avg_pins_per_cell=v),
@@ -67,8 +78,9 @@ RANGE_CHECKS = {
 @dataclass(frozen=True)
 class JobSpec:
     """The options of one (design x fabric x seed) job; ``seed`` seeds both
-    the netlist generator and the placer.  Every field is type-checked, and
-    those in ``RANGE_CHECKS`` are range-checked, each error naming its key."""
+    the netlist generator and the placer.  Every field is type-checked,
+    those in ``RANGE_CHECKS`` are range-checked and a given label is checked
+    by ``check_label``, each error naming its key."""
 
     fabric: str = _option("2d", "place", "2d | tmi | s3dc | path to a fabric config")
     netlist: str | None = _option(None, "netlist", "netlist file to ingest")
@@ -97,6 +109,8 @@ class JobSpec:
                 check(getattr(self, name))
             except ValueError as exc:
                 raise JobError(f"key {name!r}: {exc}") from None
+        if self.label is not None:
+            check_label(self.label)
 
 
 @dataclass(frozen=True)
@@ -133,8 +147,8 @@ def read_input(path: Path) -> str:
 
 def load_fabric(token: str) -> fab.FabricSpec:
     """The fabric config file ``token`` if it exists, else a builtin fabric."""
-    path = Path(token)
-    if not path.is_file():
+    path = fabric_file(token)
+    if path is None:
         return fab.builtin_fabric(token)
     try:
         return fab.load_fabric(read_input(path))
@@ -181,7 +195,7 @@ def check_label(label: str) -> str:
 def place_job(spec: JobSpec) -> PlacedJob:
     fabric = load_fabric(spec.fabric)
     design = load_design(spec)
-    label = check_label(f"{fabric.kind.value}:{design.name}" if spec.label is None else spec.label)
+    label = check_label(f"{fabric.kind.value}:{design.name}") if spec.label is None else spec.label
     design = fab.bind_masters(design, fabric)
     die = pl.size_die(design, fabric, spec.utilization)
     config = pl.AnnealConfig(moves_per_temp=spec.moves_per_temp, max_temps=spec.max_temps)

@@ -2,8 +2,8 @@
 
 The routing graph is an X x Y x L lattice.  Each layer carries planar edges
 only along its preferred direction; adjacent layers are joined by via edges
-at every gcell (capacity 1 per gcell when the fabric's via stacks are
-single-signal, as in S3DC).
+at every gcell, each holding the fabric's ``via_capacity`` (1 on S3DC,
+whose via stacks are single-signal).
 
 Routing is PathFinder style: nets are routed by A* with edge costs
 ``1 + history + present_factor * overuse``, guided by a consistent lower
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fabric import DEFAULT_VIA_CAPACITY, FabricSpec
+from .fabric import FabricSpec
 from .netlist import Netlist
 from .placement import Placement
 
@@ -153,15 +153,15 @@ def check_gcell_size(gcell_size: int) -> None:
 
 def build_grid(fabric: FabricSpec, die, gcell_size: int) -> RoutingGraph:
     """Routing lattice over a die: ``ceil(sites / gcell_size)`` gcells per
-    axis, one graph layer per fabric routing layer.  Via capacity is 1 per
-    gcell for exclusive via stacks and 4 otherwise."""
+    axis, one graph layer per fabric routing layer, and every via holding
+    the fabric's ``via_capacity``."""
     check_gcell_size(gcell_size)
     return RoutingGraph(
         x=-(-die.width // gcell_size), y=-(-die.height // gcell_size),
         gcell_size=gcell_size, site_dim_nm=fabric.site_dim_nm,
         layer_dirs=tuple(layer.direction for layer in fabric.layers),
         layer_capacities=tuple(layer.capacity for layer in fabric.layers),
-        via_capacity=1 if fabric.via_stack_exclusive else DEFAULT_VIA_CAPACITY,
+        via_capacity=fabric.via_capacity,
     )
 
 
@@ -819,12 +819,12 @@ def route_terminal_sets(
     """Route nets given raw terminal entry-node sets.
 
     ``nets`` holds (net_id, [entry nodes per terminal]); every entry list
-    must be non-empty.  Each net is searched inside its terminals' box
-    widened by ``BBOX_MARGIN``; as capacities are uniform per layer and
-    vias are at least 1, a net that fails there has no route at all, and
-    RoutingError names it.  Returns routes in input order plus the final
-    congestion map.  Zero overflow on return means demand <= capacity on
-    every edge.
+    must be non-empty, and a one-terminal net gets no search and no edges.
+    Each net is searched inside its terminals' box widened by
+    ``BBOX_MARGIN``; as capacities are uniform per layer and vias are at
+    least 1, a net that fails there has no route at all, and RoutingError
+    names it.  Returns routes in input order plus the final congestion map.
+    Zero overflow on return means demand <= capacity on every edge.
     """
     params = params or RouteParams()
     scratch = _Scratch(graph)
@@ -839,15 +839,13 @@ def route_terminal_sets(
         xs = [nx[node] for entry in entries for node in entry]
         ys = [ny[node] for entry in entries for node in entry]
         x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-        task = _NetTask(
+        tasks.append(_NetTask(
             net_id=net_id, entries=entries,
             bounds=(max(0, x0 - BBOX_MARGIN), min(graph.x - 1, x1 + BBOX_MARGIN),
                     max(0, y0 - BBOX_MARGIN), min(graph.y - 1, y1 + BBOX_MARGIN)),
             hp=(x1 - x0) + (y1 - y0),
-        )
-        if len(entries) > 1:
-            task.order = _prim_order(reps)
-        tasks.append(task)
+            order=_prim_order(reps),
+        ))
 
     order = sorted(range(len(tasks)), key=lambda i: (-tasks[i].hp, tasks[i].net_id))
     routed_edges: list[list[int]] = [[] for _ in tasks]
@@ -967,27 +965,20 @@ def route(
     graph: RoutingGraph,
     params: RouteParams | None = None,
 ) -> tuple[list[NetRoute], CongestionMap]:
-    """Route every multi-terminal net of a placed netlist.
+    """Route every net of a placed netlist; routes come in netlist order.
 
-    Dangling (single-terminal) nets are skipped with a warning, the one
-    place that reports them, and appear in the result with an empty edge
-    set.  Deterministic: the result depends only on the netlist, the
-    placement, the graph and ``params``.
+    Dangling (single-terminal) nets are reported with a warning, the one
+    place that reports them; they route to an empty edge set without a
+    search, and the ``first pass: N nets`` record counts them.
+    Deterministic: the result depends only on the netlist, the placement,
+    the graph and ``params``.
     """
-    work: list[tuple[str, list[list[int]]]] = []
-    skipped: list[str] = []
-    for net in netlist.nets:
-        if len(net.terminals) < 2:
-            skipped.append(net.id)
-            continue
-        work.append((net.id, terminal_gcells(net, netlist, placement, graph)))
+    skipped = [net.id for net in netlist.nets if len(net.terminals) < 2]
     if skipped:
         logger.warning("skipping %d dangling net(s): %s", len(skipped), ", ".join(skipped[:5]))
-
-    routes, cmap = route_terminal_sets(graph, work, params)
-    by_id = {r.net_id: r for r in routes}
-    full = [by_id.get(net.id, NetRoute(net_id=net.id, edges=())) for net in netlist.nets]
-    return full, cmap
+    return route_terminal_sets(
+        graph, [(net.id, terminal_gcells(net, netlist, placement, graph))
+                for net in netlist.nets], params)
 
 
 def congestion_csv(cmap: CongestionMap, layer: int) -> str:

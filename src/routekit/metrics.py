@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .fabric import CellEnergyEntry, FabricSpec
+from .fabric import DEFAULT_SUPPLY_V, CellEnergyEntry, FabricSpec
 from .globalroute import NetRoute, RoutingGraph
 from .netlist import Netlist
 
@@ -26,7 +26,7 @@ class MetricsError(ValueError):
 @dataclass(frozen=True)
 class PowerParams:
     clock_freq_ghz: float = 1.0
-    supply_voltage: float = 0.8
+    supply_voltage: float = DEFAULT_SUPPLY_V
     switching_activity: float = 0.2
 
     def __post_init__(self):

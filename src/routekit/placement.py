@@ -186,8 +186,9 @@ def hpwl(netlist: Netlist, placement: Placement) -> int:
 def random_placement(netlist: Netlist, fabric: FabricSpec, die: Die, seed: int = 0) -> Placement:
     """The seeded random slot assignment that anchors ``place``'s analytic
     start; ``place`` never ends above its HPWL.
-    ``fabric`` is unread; it stays so that callers keep the signature of
-    ``place``."""
+    ``fabric`` is unread; it stays because the benchmark's tracer
+    (``perfbench/tracing.py``) unpacks ``place``'s ``args[:3]`` and passes
+    them on here."""
     rng = random.Random(seed)
     nslots, xs, ys = _slots(netlist, die)
     chosen = rng.sample(range(nslots), len(netlist.cells))
@@ -232,7 +233,9 @@ def place(
     Deterministic for a fixed seed.  The anchor is ``random_placement(seed)``,
     and each stage keeps its best-seen state, so the result never has higher
     HPWL than that assignment.  ``fabric`` is unread: the bound masters carry
-    its geometry, and the argument stays because callers pass it positionally.
+    its geometry.  The argument stays because the benchmark's tracer
+    (``perfbench/tracing.py``) unpacks ``args[:3]`` of each call as
+    (design, fabric, die).
     """
     cfg = config or AnnealConfig()
     nslots, slot_x, slot_y = _slots(netlist, die)

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import placement as pl
+from . import netlist as nl, placement as pl
 
 
 @dataclass(frozen=True)
 class RentParams:
-    r: float = 0.75  # Rent exponent
-    a: float = 3.0  # average terminals per cell
+    """Rent's rule parameters; the defaults are those of a default generated design."""
+
+    r: float = nl.SynthesisParams.rent_exponent  # Rent exponent
+    a: float = nl.SynthesisParams.avg_pins_per_cell  # average terminals per cell
 
     def __post_init__(self):
         if not 0.5 < self.r < 1.0:

@@ -3,8 +3,13 @@
 ``_Scratch`` and ``_astar`` below are verbatim copies of the search as it
 stood before node tables, per-search heuristic lists and unrolled moves
 replaced the per-expansion candidate tuples.  The table-driven search in
-``routekit.globalroute`` must return exactly what this one returns: the
-same edges and nodes, in the same order, with the same tie-breaks.
+``routekit.globalroute`` bounds its search more tightly than this one, so
+the two can break ties between equal-cost paths differently.  What holds is
+checked by two tests.  ``test_astar_matches_frozen_reference``: over runs
+of 1 to 6 searches per scratch state the live search returns exactly what
+this one returns, the same edges and nodes in the same order.
+``test_astar_keeps_reference_costs_over_many_searches``: over longer runs
+it returns a path of the same cost.
 
 ``route_terminal_sets`` is a copy of the negotiation loop as it stood before
 it kept its set of overflowed edges current: it rescans every edge on every

@@ -368,6 +368,21 @@ def test_config_value_out_of_range_names_the_file(tmp_path, capsys, flags):
         f"routekit: error: {cfg}: key 'gcell': gcell_size must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"label": ""}, "key 'label' is empty; a report row needs a name"),
+    ({"label": "a,b"}, "label 'a,b' holds a comma or a line break; a CSV field cannot hold it"),
+    ({"fabric": "nope"}, "key 'fabric': unknown fabric kind: 'nope'"),
+], ids=["empty-label", "comma-label", "unknown-fabric"])
+def test_config_label_or_fabric_error_names_the_file(tmp_path, capsys, config, message):
+    # checked with the other options, before the design is generated
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    with mock.patch.object(nl, "generate_synthetic", side_effect=AssertionError("a stage ran")):
+        assert run_cli("run", "--config", cfg, "--cells", 64, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"routekit: error: {cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_a_value_too_large_for_a_float(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"utilization": 10**400}))

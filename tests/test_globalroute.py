@@ -48,6 +48,16 @@ def test_planar_via_capacity_default():
     assert via_caps == {4}
 
 
+@pytest.mark.parametrize("fabric", [
+    fab.builtin_fabric("2d"), fab.builtin_fabric("tmi"), fab.builtin_fabric("s3dc"),
+    fab.load_fabric("kind s3dc\naccess_layers 2\n"),
+    fab.load_fabric("kind tmi\nlayer 1 cap 5\n"),
+], ids=["2d", "tmi", "s3dc", "s3dc-config", "tmi-config"])
+def test_build_grid_takes_the_fabric_via_capacity(fabric):
+    graph = gr.build_grid(fabric, Die(30, 30, fabric.site_dim_nm, 0.6), 3)
+    assert set(graph.capacity[graph.via_base:]) == {fabric.via_capacity}
+
+
 def test_edge_info_roundtrip():
     # the router's edge ids are the oracle's, which it derives from the
     # documented layout alone, and they number the edges 0..num_edges-1
@@ -398,17 +408,31 @@ def test_routed_netlist_trees_are_valid():
 
 
 def test_route_skips_dangling_nets(caplog):
-    d = tiny_netlist(3, [(0, 1), (2,)])
+    # the dangling net sits between two routed nets
+    d = tiny_netlist(4, [(0, 1), (2,), (1, 3)])
     fabric = fab.builtin_fabric("2d")
     die = Die(12, 12, fabric.site_dim_nm, 0.6)
-    placed = pl.Placement({"c0": (0, 0), "c1": (8, 8), "c2": (4, 4)}, die)
-    graph = gr.build_grid(fabric, die, 4)
-    with caplog.at_level("WARNING", logger="routekit.globalroute"):
-        routes, _ = gr.route(d, placed, graph)
-    assert "skipping 1 dangling net(s): n1" in caplog.text
-    assert len(routes) == 2
+    placed = pl.Placement({"c0": (0, 0), "c1": (8, 8), "c2": (4, 4), "c3": (0, 8)}, die)
+
+    def first_pass(netlist):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="routekit.globalroute"):
+            routes, _ = gr.route(netlist, placed, gr.build_grid(fabric, die, 4))
+        (nets, searches, pops), = [r.args for r in caplog.records
+                                   if r.msg.startswith("first pass:")]
+        return routes, nets, (searches, pops), caplog.text
+
+    routes, nets, counts, text = first_pass(d)
+    assert "skipping 1 dangling net(s): n1" in text
+    assert [r.net_id for r in routes] == ["n0", "n1", "n2"]  # netlist order
     assert routes[1].edges == ()
-    assert len(routes[0].edges) > 0
+    assert len(routes[0].edges) > 0 and len(routes[2].edges) > 0
+    assert nets == 3  # the first pass counts the dangling net
+    without, nets, counts_without, text = first_pass(replace(d, nets=[d.nets[0], d.nets[2]]))
+    assert "dangling" not in text
+    assert nets == 2
+    assert counts == counts_without  # the dangling net gets no search
+    assert [r for r in routes if r.edges] == without
 
 
 # --- congestion reporting
