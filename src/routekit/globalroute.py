@@ -16,6 +16,12 @@ decomposed over a rectilinear MST of their terminal gcells, and each new
 connection may start from any node of the net's partial tree, so shared
 segments cost nothing.
 
+A reroute pass costs what it reroutes, not a scan of every net: from the
+first reroute pass on, an index maps each edge to the nets that use it,
+kept current at every rip-up and commit, so a pass reads the users of its
+overflowed edges and sorts them, and the nets it rips up, by routing order.
+A run that converges in its first pass never builds it.
+
 The router keeps the routing of the pass that left the fewest overflowed
 edges and returns it, with its demand, if the last pass left more.  It
 stops once ``STAGNATION_NETS`` nets have been rerouted since that pass:
@@ -42,6 +48,7 @@ import bisect
 import heapq
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,20 +183,22 @@ def terminal_gcells(net, netlist: Netlist, placement: Placement,
     inside the die, so that each access falls in a gcell of the grid.
     """
     g = graph.gcell_size
+    x_dim, y_dim, layers = graph.x, graph.y, graph.layers
+    assignments = placement.assignments
     out: list[list[int]] = []
     for cid, pin_name in net.terminals:
-        if cid not in placement.assignments:
+        at = assignments.get(cid)
+        if at is None:
             raise RoutingError(f"net {net.id!r}: cell {cid!r} is not placed")
-        ox, oy = placement.assignments[cid]
-        pin = netlist.master_of(cid).pin(pin_name)
+        ox, oy = at
         entries: dict[int, None] = {}
-        for layer, dx, dy in pin.accesses:
-            if layer > graph.layers:
+        for layer, dx, dy in netlist.master_of(cid).pin(pin_name).accesses:
+            if layer > layers:
                 raise RoutingError(
                     f"net {net.id!r}: pin {cid}.{pin_name} accesses layer {layer}, "
-                    f"above the grid's {graph.layers} layers"
+                    f"above the grid's {layers} layers"
                 )
-            entries.setdefault(graph.node_id((ox + dx) // g, (oy + dy) // g, layer - 1), None)
+            entries[((layer - 1) * y_dim + (oy + dy) // g) * x_dim + (ox + dx) // g] = None
         out.append(list(entries))
     return out
 
@@ -825,6 +834,13 @@ def route_terminal_sets(
     least 1, a net that fails there has no route at all, and RoutingError
     names it.  Returns routes in input order plus the final congestion map.
     Zero overflow on return means demand <= capacity on every edge.
+
+    Nets route in ``order``: by falling half-perimeter, then by id.  A
+    reroute pass takes each overflowed edge's users from the edge-to-nets
+    index, in that order, and rips up the excess, last-routed first; so a
+    pass costs O(its overflowed edges' users + its ripped nets' edges) on
+    top of its searches.  Demand that no net holds (placed on the graph
+    before the call) counts toward overflow but has no user to rip up.
     """
     params = params or RouteParams()
     scratch = _Scratch(graph)
@@ -848,7 +864,13 @@ def route_terminal_sets(
         ))
 
     order = sorted(range(len(tasks)), key=lambda i: (-tasks[i].hp, tasks[i].net_id))
+    rank = [0] * len(tasks)  # each net's position in ``order``
+    for r, i in enumerate(order):
+        rank[i] = r
     routed_edges: list[list[int]] = [[] for _ in tasks]
+    # Edge -> the nets whose edge lists hold it, one entry per use; built at
+    # the first reroute pass.
+    users_of: dict[int, list[int]] | None = None
     dem = graph.demand
     pres_fac = PRESENT_FACTOR
 
@@ -871,14 +893,13 @@ def route_terminal_sets(
             if best_overflow is None or len(over) < best_overflow:
                 best_overflow, best_pass, best_routing = len(over), passes, routed_edges.copy()
                 fruitless = 0
-            users: dict[int, list[int]] = {e: [] for e in over}
-            for i in order:
-                edges = routed_edges[i]
-                if overflowed.isdisjoint(edges):
-                    continue
-                for e in edges:
-                    if e in overflowed:
-                        users[e].append(i)
+            if users_of is None:
+                users_of = defaultdict(list)
+                for i, edges in enumerate(routed_edges):
+                    for e in edges:
+                        users_of[e].append(i)
+            # An edge overflowed by demand that no net holds has no users.
+            users = {e: sorted(users_of.get(e, ()), key=rank.__getitem__) for e in over}
             # Per overflowed edge, only the excess (demand - capacity) users
             # reroute, lowest-priority first.  Earlier-routed (larger) nets
             # keep their claim; history keeps pressure on edges that stay
@@ -893,7 +914,7 @@ def route_terminal_sets(
                     if i not in ripped:
                         ripped.add(i)
                         need -= 1
-            pending = [i for i in order if i in ripped]
+            pending = sorted(ripped, key=rank.__getitem__)
             if not pending:
                 stop = "nothing to reroute"
                 break
@@ -911,6 +932,7 @@ def route_terminal_sets(
                     dem[e] -= 1
                     if dem[e] == cap[e]:
                         overflowed.discard(e)
+                    users_of[e].remove(i)
             pres_fac *= PRESENT_GROWTH
             # Logged before this iteration's searches, so that the record
             # marks where the previous pass ended; it carries that pass's
@@ -932,6 +954,9 @@ def route_terminal_sets(
                 dem[e] += 1
                 if dem[e] > cap[e]:
                     overflowed.add(e)
+            if users_of is not None:
+                for e in edges:
+                    users_of[e].append(i)
             routed_edges[i] = edges
         searches, pops = scratch.gen - gen0, scratch.pops - pops0
         if iteration == 0:
@@ -994,15 +1019,16 @@ def congestion_csv(cmap: CongestionMap, layer: int) -> str:
     if li < cmap.via_demand.shape[0]:
         grids.append(("via", cmap.via_demand[li], cmap.via_capacity[li]))
     # The ratio depends only on (demand, capacity), so each pair's row tail
-    # is formatted once.
+    # is formatted once, and each column's head once per grid.
     tails: dict[tuple[int, int], str] = {}
     for d, dem, cap in grids:
+        heads = [f"{layer},{gx}," for gx in range(dem.shape[1])]
         ratio = _edge_ratio(dem, cap).tolist()
-        for gy, rows in enumerate(zip(dem.tolist(), cap.tolist(), ratio)):
-            mid = f",{gy},{d},"
-            for gx, (v, c, r) in enumerate(zip(*rows)):
+        for gy, (vs, cs, rs) in enumerate(zip(dem.tolist(), cap.tolist(), ratio)):
+            mid = f"{gy},{d},"
+            for head, v, c, r in zip(heads, vs, cs, rs):
                 tail = tails.get((v, c))
                 if tail is None:
                     tail = tails[v, c] = f"{v},{c},{r:.6g}"
-                lines.append(f"{layer},{gx}{mid}{tail}")
+                lines.append(head + mid + tail)
     return "\n".join(lines) + "\n"

@@ -309,6 +309,9 @@ def generate_synthetic(params: SynthesisParams) -> Netlist:
             build(mid, hi, right)
 
         build(0, n, [])
+        # ``build`` refers to itself: unbind it, so that reference counting
+        # frees it and the lists it holds.
+        del build
         return net_cells
 
     # Creation counts clip at zero when small blocks over-inherit, which

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import pickle
 import shutil
@@ -106,6 +107,51 @@ def test_run_missing_netlist_file(tmp_path, capsys):
                  "-o", tmp_path / "out")
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_a_command_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    # main runs a command with the cyclic collector off and turns it back
+    # on only if it was on, after a success and after an exit-2 error alike
+    missing = tmp_path / "ghost.net"
+    during = []
+    run_job = flow.run_job
+
+    def spy(spec):
+        during.append(gc.isenabled())
+        return run_job(spec)
+
+    was_enabled = gc.isenabled()
+    try:
+        with mock.patch.object(flow, "run_job", spy):
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert run_cli("run", "--cells", 64, "-o", tmp_path / f"out{enabled}",
+                               *FAST) in (0, 3)
+                assert gc.isenabled() == enabled
+                assert run_cli("run", "--netlist", missing, "-o", tmp_path / "bad") == 2
+                assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False] * 4
+    assert "not found" in capsys.readouterr().err
+
+
+def test_a_run_leaves_no_cycles_that_grow_with_the_design(tmp_path):
+    # With the collector off for a whole run, what it leaves for the
+    # collector is the same at 64 and 512 cells: the cycles a command makes
+    # (argparse's, json's) do not grow with the design.
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for cells in (64, 512):
+            run_cli("run", "--cells", cells, "--fabric", "tmi", "-o", tmp_path / str(cells), *FAST)
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[0] == found[1]
 
 
 def test_run_bad_netlist_reports_line(tmp_path, capsys):

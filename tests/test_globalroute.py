@@ -310,32 +310,46 @@ def test_route_deterministic():
 LIGHT_ANNEAL = ["--moves-per-temp", "4000", "--max-temps", "40"]
 
 
-@pytest.mark.parametrize("cells, design_seed, fabric, flags, digest", [
+@pytest.mark.parametrize("cells, design_seed, fabric, flags, digest, cmap_digest", [
     (600, 1, "2d", ["--seed", "1", "--moves-per-temp", "2000"],
-     "2c4e72b35789c089b72db7a0b3a60a43e5b8029c171698369278d44cecebc84f"),
+     "2c4e72b35789c089b72db7a0b3a60a43e5b8029c171698369278d44cecebc84f",
+     "cb7ada347deed7d75c81f5a49f7be44927e0220b30a221e6b9d4de207009e988"),
     (600, 1, "tmi", ["--seed", "1", "--moves-per-temp", "2000"],
-     "fabfba0ccc374a63b2122507eea1cd0c2f3bc2067ed554bdff02933f5773dc6b"),
+     "fabfba0ccc374a63b2122507eea1cd0c2f3bc2067ed554bdff02933f5773dc6b",
+     "1f080f7cd7a25e934dc74ae174835150b277f06723b8d22276b8b2073bee50ca"),
     (600, 1, "s3dc", ["--seed", "1", "--moves-per-temp", "2000"],
-     "bd36721b61d316260bc06b51945f0fa4b20c665f29600f0dde82e8dc8e90f90f"),
+     "bd36721b61d316260bc06b51945f0fa4b20c665f29600f0dde82e8dc8e90f90f",
+     "93beb55a7b764e603766cc3e19d743b89ac5afb58304e707bf60fedcaba92b1f"),
     (1000, 102, "tmi", ["--seed", "2", *LIGHT_ANNEAL],
-     "eb3498850c6375ecf056b505a8de6d119bd7df65e5b099045b6aaed913854dd5"),
+     "eb3498850c6375ecf056b505a8de6d119bd7df65e5b099045b6aaed913854dd5",
+     "532cc7de1928549d344a0f5c8cbf82469e4c43894045a50fe7057e9cd371d77d"),
     (1600, 100, "2d", ["--seed", "0", *LIGHT_ANNEAL],
-     "a98662c7e9facb71c1dde02ba0ae05bc987870cb34ef1f7d4e3388d1c0388826"),
+     "a98662c7e9facb71c1dde02ba0ae05bc987870cb34ef1f7d4e3388d1c0388826",
+     "93e7e00c314c2a6e850e7b33454197e39a19a5f7d56e02179643327d7519ed90"),
     (1600, 100, "s3dc", ["--seed", "0", *LIGHT_ANNEAL],
-     "034d84280115b7ea6f56f6b53d268b3d2f970bec754222518ea13e6e2cc60b05"),
+     "034d84280115b7ea6f56f6b53d268b3d2f970bec754222518ea13e6e2cc60b05",
+     "83b0a9b291fd57c4db21d92ac4e94c978d43e9e796597c0eddf9b39f5e308a1f"),
 ], ids=["sweep-2d", "sweep-tmi", "sweep-s3dc", "c102-tmi", "open-2d", "open-s3dc"])
-def test_route_output_is_pinned(tmp_path, cells, design_seed, fabric, flags, digest):
+def test_route_output_is_pinned(tmp_path, cells, design_seed, fabric, flags, digest,
+                                cmap_digest):
     # the benchmark's six jobs (fabric-sweep, congested-reroute and
-    # open-first-pass), each a 'run' of a generated netlist file: the digest
-    # is that of the routes.txt it writes, so that a faster router must
-    # return the same routes, tie-breaks included
+    # open-first-pass), each a 'run' of a generated netlist file: the digests
+    # are those of the routes.txt it writes and of its congestion_L*.csv
+    # files concatenated in layer order, so that a faster router or map
+    # writer must return the same routes, tie-breaks included, and the same
+    # maps
     net = tmp_path / "design.net"
     net.write_text(nl.serialize_netlist(
         nl.generate_synthetic(nl.SynthesisParams(num_cells=cells, seed=design_seed))))
-    cli.main(["run", "--netlist", str(net), "--fabric", fabric, "-o", str(tmp_path / "out"),
-              *flags])
-    routes = (tmp_path / "out" / "routes.txt").read_bytes()
+    out = tmp_path / "out"
+    cli.main(["run", "--netlist", str(net), "--fabric", fabric, "-o", str(out), *flags])
+    routes = (out / "routes.txt").read_bytes()
     assert hashlib.sha256(routes).hexdigest() == digest
+    layers = len(fab.builtin_fabric(fabric).layers)
+    maps = b"".join((out / f"congestion_L{layer}.csv").read_bytes()
+                    for layer in range(1, layers + 1))
+    assert not (out / f"congestion_L{layers + 1}.csv").exists()
+    assert hashlib.sha256(maps).hexdigest() == cmap_digest
 
 
 def test_unroutable_reports_isolated_terminal():

@@ -17,9 +17,12 @@ hypothesis profile is bounded and derandomised, so every run checks the
 same examples.
 """
 
+import contextlib
 import copy
+import logging
 import math
 import types
+from unittest import mock
 
 import pytest
 import router_reference as ref
@@ -40,18 +43,19 @@ BOUNDED = settings(
 
 
 @st.composite
-def grids(draw, max_side=6, max_layers=4):
+def grids(draw, max_side=6, max_layers=4, max_cap=3):
     """A routing graph with a random layer stack.  Layers 1 and 2 run in
     different directions with capacity >= 1, so every node is reachable;
-    the layers above take any direction and capacity, zero included."""
+    the layers above take any direction and capacity, zero included.  No
+    capacity exceeds ``max_cap``."""
     x = draw(st.integers(1, max_side))
     y = draw(st.integers(1, max_side))
     layers = draw(st.integers(2, max_layers))
     dirs = list(draw(st.sampled_from(["hv", "vh"])))
     dirs += draw(st.lists(st.sampled_from("hv"), min_size=layers - 2, max_size=layers - 2))
-    caps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
-    caps += draw(st.lists(st.integers(0, 3), min_size=layers - 2, max_size=layers - 2))
-    via_cap = draw(st.integers(1, 3))
+    caps = draw(st.lists(st.integers(1, max_cap), min_size=2, max_size=2))
+    caps += draw(st.lists(st.integers(0, max_cap), min_size=layers - 2, max_size=layers - 2))
+    via_cap = draw(st.integers(1, max_cap))
     return gr.RoutingGraph(x, y, 1, 100.0, tuple(dirs), tuple(caps), via_cap)
 
 
@@ -381,6 +385,96 @@ def test_routes_are_trees_and_account_for_demand(graph, rnd, nnets, seed_overflo
     overflowed = sum(d > c for d, c in zip(graph.demand, graph.capacity))
     assert cmap.overflow_edge_count == overflowed
     assert cmap.congested == (overflowed > 0)
+
+
+@contextlib.contextmanager
+def pass_records(module, sink):
+    """Calls ``sink`` with the args of each ``reroute iteration`` DEBUG
+    record of ``module``'s logger while the block runs."""
+    handler = logging.Handler(logging.DEBUG)
+    handler.addFilter(lambda record: record.msg.startswith("reroute iteration"))
+    handler.emit = lambda record: sink(record.args)
+    logger = logging.getLogger(module.__name__)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def test_negotiation_stays_exact_under_heavy_rerouting():
+    # Tight grids (capacities 1-2) and 10-30 nets make the router rip up and
+    # reroute for many passes.  Each pass picks its nets from an index of
+    # edge -> users kept across passes; the routes, demand, history and the
+    # (overflowed edges, nets) of every pass must equal the frozen
+    # reference's, which rescans every net each pass.  A spy on
+    # ``_route_one`` replays the routing to check that some examples run at
+    # least 5 passes and that some rip up a net from two overflowed edges at
+    # once.  About 5 s on a 2-core host.
+    passes_seen = []
+    multi_edge_rips = []
+
+    @settings(BOUNDED, max_examples=100)
+    @given(graph=grids(max_cap=2), rnd=st.randoms(use_true_random=False),
+           nnets=st.integers(10, 30), seed_overflow=st.booleans(),
+           max_iters=st.integers(0, 40))
+    def check(graph, rnd, nnets, seed_overflow, max_iters):
+        nnodes = graph.x * graph.y * graph.layers
+        if seed_overflow:
+            for e in rnd.sample(range(graph.num_edges), min(4, graph.num_edges)):
+                graph.demand[e] = graph.capacity[e] + rnd.randint(0, 2)
+        initial = list(graph.demand)
+        nets = [(f"n{i}", node_sets(rnd, nnodes, rnd.randint(2, 4))) for i in range(nnets)]
+        params = gr.RouteParams(max_iters=max_iters)
+        ref_graph = copy.deepcopy(graph)
+
+        events = []  # ("pass", args) from the DEBUG records, ("route", net, edges)
+        route_one = gr._route_one
+
+        def spy(graph, task, pres_fac, scratch):
+            edges = route_one(graph, task, pres_fac, scratch)
+            events.append(("route", task.net_id, edges))
+            return edges
+
+        with pass_records(gr, lambda args: events.append(("pass", args))), \
+                mock.patch.object(gr, "_route_one", spy):
+            routes, _ = gr.route_terminal_sets(graph, nets, params)
+        ref_passes = []
+        with pass_records(ref, ref_passes.append):
+            ref_routes, _ = ref.route_terminal_sets(ref_graph, nets, params)
+
+        assert routes == ref_routes
+        assert graph.demand == ref_graph.demand
+        assert graph.history == ref_graph.history
+        live_passes = [event[1] for event in events if event[0] == "pass"]
+        assert [args[:3] for args in live_passes] == ref_passes
+
+        # Replay: at each pass record the routing is still that of the pass
+        # before, so its overflowed edges are the pass's, and the nets routed
+        # after the record are the ones it ripped up.
+        held: dict[str, list[int]] = {}
+        over: set[int] = set()
+        for event in events:
+            if event[0] == "pass":
+                demand = list(initial)
+                for edges in held.values():
+                    for e in edges:
+                        demand[e] += 1
+                over = {e for e, (d, c) in enumerate(zip(demand, graph.capacity)) if d > c}
+                assert len(over) == event[1][1]
+            else:
+                _, net_id, edges = event
+                if over:
+                    multi_edge_rips.append(len(over.intersection(held[net_id])) >= 2)
+                held[net_id] = edges
+        passes_seen.append(len(live_passes))
+
+    check()
+    assert max(passes_seen) >= 5
+    assert any(multi_edge_rips)
 
 
 @settings(BOUNDED, max_examples=120)
